@@ -42,6 +42,8 @@ class SmoothElement(NamedTuple):
 
 
 def smooth_from_int(x: int) -> SmoothElement:
+    if x < 1:
+        raise ValueError("not a {2,5,7}-smooth integer")
     e = [0, 0, 0]
     for i, p in enumerate((2, 5, 7)):
         while x % p == 0:

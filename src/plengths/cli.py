@@ -57,7 +57,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--window", type=_parse_window, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--timing", action="store_true", help="include timing in reports")
 
 
@@ -134,7 +133,7 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
     if args.command == "plength":
         res = factor.extremal_plength(S, args.n, args.p, args.mode)
         return 0, _json_text(
-            {"semigroup": S.to_json(), **factor.result_to_json(S, args.n, args.p, args.mode, res)}
+            {"semigroup": S.to_json(), **factor.result_to_json(args.n, args.p, args.mode, res)}
         )
     if args.command == "qp-table":
         reports = verify_qp_attributes(S, cfg.window)
@@ -188,7 +187,6 @@ def main(argv=None) -> int:
                 "budget": args.budget,
                 "window": args.window,
                 "seed": args.seed,
-                "jobs": args.jobs,
                 "fmt": args.fmt,
             },
         )

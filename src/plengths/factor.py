@@ -248,7 +248,7 @@ def extremal_plength(S: NumericalSemigroup, n: int, p, mode: str) -> ExtremalRes
     return ExtremalResult(value, witness)
 
 
-def result_to_json(S: NumericalSemigroup, n: int, p, mode: str, res: ExtremalResult) -> dict:
+def result_to_json(n: int, p, mode: str, res: ExtremalResult) -> dict:
     return {
         "n": n,
         "p": "inf" if p == INF else p,

@@ -22,20 +22,6 @@ from .errors import (
 )
 
 
-def _representable(n: int, gens: tuple[int, ...]) -> bool:
-    """n is a nonnegative integer combination of gens (bounded table scan)."""
-    if n == 0:
-        return True
-    ok = bytearray(n + 1)
-    ok[0] = 1
-    for m in range(1, n + 1):
-        for g in gens:
-            if g <= m and ok[m - g]:
-                ok[m] = 1
-                break
-    return bool(ok[n])
-
-
 @dataclass(frozen=True)
 class AperyTable:
     """Least semigroup element in each residue class for a modulus in S.
@@ -76,16 +62,18 @@ class NumericalSemigroup:
             g = gcd(g, x)
         if g != 1:
             raise GcdNotOneError(f"gcd of generators is {g}, not 1")
-        for i, x in enumerate(gens):
-            others = tuple(gens[:i] + gens[i + 1 :])
-            if others and _representable(x, others):
-                raise NotMinimalError(f"{x} is generated by the other generators")
         self.generators = tuple(gens)
         # membership table, grown geometrically on demand
         self._member = bytearray(1)
         self._member[0] = 1
         self._lock = threading.Lock()
         self._apery_cache: dict[int, AperyTable] = {}
+        # x is generated by the others iff x - g lies in S for a smaller
+        # generator g: the parts of x - g are all below x
+        self._grow(gens[-1])
+        for x in gens:
+            if any(g < x and self._member[x - g] for g in gens):
+                raise NotMinimalError(f"{x} is generated by the other generators")
 
     @property
     def embedding_dimension(self) -> int:

@@ -1,9 +1,9 @@
 """Replay of every verified claim as machine-checkable pass/fail results.
 
 Each check returns a CheckResult with the exact window and thresholds it
-used and, on failure, a concrete counterexample input. Reports aggregate
-checks sorted by claim id, so output is identical however the checks were
-scheduled.
+used and, on failure, a concrete counterexample input. The claim tables at
+the end of the module say which claims apply to which subject; reports list
+checks sorted by claim id.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt, lcm
@@ -49,45 +48,51 @@ class RunConfig:
     node_budget: int = 5_000_000
     d_max: int = 4              # detection grid bounds
     pi_max: int = 60
-    fit_low: float = 0.5        # accepted growth-exponent interval
-    fit_high: float = 0.85
     samples: int = 50           # sampled shift-invariance checks
     power_limit: int = 8        # largest n for power experiments
     smooth_limit: int = 1_000_000
     m66_limit: int = 20_000
     window: tuple[int, int] | None = None
     seed: int = 1729
-    jobs: int = 1
     fmt: str = "json"
 
     @staticmethod
     def load(config_path: str | None = None, overrides: dict | None = None) -> "RunConfig":
+        defaults = {f.name: f.default for f in fields(RunConfig)}
         values: dict = {}
         if config_path:
             with open(config_path, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"{config_path}: config must be a JSON object")
             values.update(data)
-        for f in fields(RunConfig):
-            env = os.environ.get(ENV_PREFIX + f.name.upper())
+        for name in defaults:
+            env = os.environ.get(ENV_PREFIX + name.upper())
             if env is not None:
-                if f.name == "window":
+                if name == "window":
                     lo, hi = env.split(":")
-                    values[f.name] = (int(lo), int(hi))
-                elif f.name == "fmt":
-                    values[f.name] = env
-                elif f.name in ("fit_low", "fit_high"):
-                    values[f.name] = float(env)
+                    values[name] = (int(lo), int(hi))
+                elif name == "fmt":
+                    values[name] = env
                 else:
-                    values[f.name] = int(env)
+                    values[name] = int(env)
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
-        if "window" in values and isinstance(values["window"], list):
-            values["window"] = tuple(values["window"])
+        for name, value in values.items():
+            if name not in defaults:
+                raise ValueError(f"unknown config key: {name}")
+            if name != "window" and type(value) is not type(defaults[name]):
+                raise ValueError(f"{name} must be {type(defaults[name]).__name__}, not {value!r}")
+        window = values.get("window")
+        if window is not None:
+            if not isinstance(window, (list, tuple)) or [type(v) for v in window] != [int, int]:
+                raise ValueError(f"window must be a pair of two ints, not {window!r}")
+            if not 0 <= window[0] <= window[1]:
+                raise ValueError(f"window needs 0 <= start <= end, not {window!r}")
+            values["window"] = tuple(window)
         cfg = RunConfig(**values)
         if cfg.budget < 1 or cfg.node_budget < 1:
             raise ValueError("budgets must be >= 1")
-        if cfg.window is not None and cfg.window[0] < 0:
-            raise ValueError("window start must be >= 0")
         return cfg
 
 
@@ -132,10 +137,14 @@ class VerificationReport:
 
 
 def _run(claim: str, window: dict, fn) -> CheckResult:
+    """Run one claim's body. A body that reports checking nothing fails:
+    an empty window proves nothing."""
     t0 = time.perf_counter()
     details: dict = {}
     try:
         counterexample = fn(details)
+        if counterexample is None and details.get("checked") == 0:
+            counterexample = {"error": "nothing was examined"}
         passed = counterexample is None
     except PlengthsError as exc:
         counterexample = {"error": str(exc)}
@@ -150,109 +159,114 @@ def _sweep_range(S: NumericalSemigroup, threshold: int, cfg: RunConfig) -> tuple
     return threshold + 1, threshold + cfg.sweep
 
 
+def _sweep(details: dict, vals: list, lo: int, hi: int, compare, vacuous=None) -> dict | None:
+    """First counterexample compare(n) gives for n = lo..hi in S (vals[n] not
+    None), passing over and counting as skipped the n where vacuous(n) holds.
+    With none found, details["checked"] grows by the number of n compared."""
+    checked = skipped = 0
+    for n in range(lo, hi + 1):
+        if vals[n] is None:
+            continue
+        if vacuous is not None and vacuous(n):
+            skipped += 1
+            continue
+        checked += 1
+        bad = compare(n)
+        if bad is not None:
+            return bad
+    details["checked"] = details.get("checked", 0) + checked
+    if vacuous is not None:
+        details["skipped"] = skipped
+    return None
+
+
 # ---------------------------------------------------------------------------
-# Numerical semigroup checks.
+# Numerical semigroup checks. Each returns the window it examines and a body
+# for _run.
 # ---------------------------------------------------------------------------
 
 
-def _check_len_recurrence(S: NumericalSemigroup, cfg: RunConfig, mode: str) -> CheckResult:
+def _check_len_recurrence(S: NumericalSemigroup, cfg: RunConfig, mode: str):
     gens = S.generators
     g1, gk = gens[0], gens[-1]
     if mode == "min":
-        threshold, step, claim = (g1 - 1) * gk, gk, "l1min-recurrence"
+        threshold, step = (g1 - 1) * gk, gk
     else:
-        threshold, step, claim = (gens[-2] - 1) * gk, g1, "l1max-recurrence"
+        threshold, step = (gens[-2] - 1) * gk, g1
     lo, hi = _sweep_range(S, threshold, cfg)
-    window = {"lo": lo, "hi": hi, "threshold": threshold}
 
     def body(details):
         vals = factor.extremal_values(S, hi, 1, mode)
-        checked = skipped = 0
-        for n in range(lo, hi + 1):
-            if vals[n] is None:
-                continue
-            if n - step < 0 or vals[n - step] is None:
-                skipped += 1  # step leaves the semigroup, claim is vacuous there
-                continue
-            checked += 1
+
+        def compare(n):
             if vals[n] != vals[n - step] + 1:
                 return {"n": n, "value": vals[n], "stepped": vals[n - step]}
             if factor.closed_len_recurrence(S, n, mode) != vals[n]:
                 return {"n": n, "closed_form": factor.closed_len_recurrence(S, n, mode)}
-        details.update(checked=checked, skipped=skipped)
-        return None
+            return None
 
-    return _run(claim, window, body)
+        # where the step leaves the semigroup the claim is vacuous
+        return _sweep(details, vals, lo, hi, compare, lambda n: n - step < 0 or vals[n - step] is None)
+
+    return {"lo": lo, "hi": hi, "threshold": threshold}, body
 
 
-def _check_l0_periodic(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_l0_periodic(S: NumericalSemigroup, cfg: RunConfig):
     gens = S.generators
     period = lcm(*gens)
     threshold = gens[-1] ** 2
     lo, hi = _sweep_range(S, threshold, cfg)
-    window = {"lo": lo, "hi": hi, "threshold": threshold, "period": period}
 
     def body(details):
         vals = factor.extremal_values(S, hi + period, 0, "min")
-        checked = 0
-        for n in range(lo, hi + 1):
-            if vals[n] is None:
-                continue
-            checked += 1
-            if vals[n] != vals[n + period]:
-                return {"n": n, "value": vals[n], "shifted": vals[n + period]}
-        details.update(checked=checked)
-        return None
+        return _sweep(
+            details, vals, lo, hi,
+            lambda n: None if vals[n] == vals[n + period]
+            else {"n": n, "value": vals[n], "shifted": vals[n + period]},
+        )
 
-    return _run("l0min-periodic", window, body)
+    return {"lo": lo, "hi": hi, "threshold": threshold, "period": period}, body
 
 
-def _check_l0_constant(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_l0_constant(S: NumericalSemigroup, cfg: RunConfig):
     gens = S.generators
     k = len(gens)
     threshold = S.frobenius() + sum(gens)
     lo, hi = _sweep_range(S, threshold, cfg)
-    window = {"lo": lo, "hi": hi, "threshold": threshold}
 
     def body(details):
         vals = factor.extremal_values(S, hi, 0, "max")
-        checked = 0
-        for n in range(lo, hi + 1):
-            if vals[n] is None:
-                return {"n": n, "error": "gap above the threshold"}
-            checked += 1
-            if vals[n] != k:
-                return {"n": n, "value": vals[n], "expected": k}
-        details.update(checked=checked)
-        return None
+        gap = next((n for n in range(lo, hi + 1) if vals[n] is None), None)
+        if gap is not None:
+            return {"n": gap, "error": "gap above the threshold"}
+        return _sweep(
+            details, vals, lo, hi,
+            lambda n: None if vals[n] == k else {"n": n, "value": vals[n], "expected": k},
+        )
 
-    return _run("l0max-constant", window, body)
+    return {"lo": lo, "hi": hi, "threshold": threshold}, body
 
 
-def _check_linfmin_lower_bound(S: NumericalSemigroup, cfg: RunConfig, c_max: int = 20) -> CheckResult:
+def _check_linfmin_lower_bound(S: NumericalSemigroup, cfg: RunConfig, c_max: int = 20):
     g = sum(S.generators)
     hi = c_max * g + cfg.sweep
-    window = {"hi": hi, "c_max": c_max}
 
     def body(details):
         vals = factor.extremal_values(S, hi, INF, "min")
-        checked = 0
         for c in range(1, c_max + 1):
-            for n in range(c * g + 1, hi + 1):
-                if vals[n] is None:
-                    continue
-                checked += 1
-                if not vals[n] > c:
-                    return {"c": c, "n": n, "value": vals[n]}
-        details.update(checked=checked)
+            bad = _sweep(
+                details, vals, c * g + 1, hi,
+                lambda n: None if vals[n] > c else {"c": c, "n": n, "value": vals[n]},
+            )
+            if bad is not None:
+                return bad
         return None
 
-    return _run("linfmin-lower-bound", window, body)
+    return {"hi": hi, "c_max": c_max}, body
 
 
-def _check_linfmin_apery_bound(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_linfmin_apery_bound(S: NumericalSemigroup, cfg: RunConfig):
     g = sum(S.generators)
-    window = {"modulus": g}
 
     def body(details):
         table = S.apery(g)
@@ -263,41 +277,36 @@ def _check_linfmin_apery_bound(S: NumericalSemigroup, cfg: RunConfig) -> CheckRe
         details.update(checked=len(table.entries))
         return None
 
-    return _run("linfmin-apery-bound", window, body)
+    return {"modulus": g}, body
 
 
-def _check_linf_closed(S: NumericalSemigroup, cfg: RunConfig, mode: str) -> CheckResult:
+def _check_linf_closed(S: NumericalSemigroup, cfg: RunConfig, mode: str):
     gens = S.generators
     g1, g = gens[0], sum(gens)
     if mode == "max":
-        threshold, step, claim, closed = g1 * g1 * g, g1, "linfmax-closed-form", factor.closed_max_inf
+        threshold, step, closed = g1 * g1 * g, g1, factor.closed_max_inf
     else:
-        threshold, step, claim, closed = g * g, g, "linfmin-closed-form", factor.closed_min_inf
+        threshold, step, closed = g * g, g, factor.closed_min_inf
     lo, hi = _sweep_range(S, threshold, cfg)
-    window = {"lo": lo, "hi": hi, "threshold": threshold}
 
     def body(details):
         vals = factor.extremal_values(S, hi, INF, mode)
-        checked = 0
-        for n in range(lo, hi + 1):
-            if vals[n] is None:
-                continue
-            checked += 1
+
+        def compare(n):
             if closed(S, n) != vals[n]:
                 return {"n": n, "closed_form": closed(S, n), "solver": vals[n]}
-            if n - step >= 0 and vals[n - step] is not None:
-                if vals[n] != vals[n - step] + 1:
-                    return {"n": n, "value": vals[n], "stepped": vals[n - step]}
-        details.update(checked=checked)
-        return None
+            if n - step >= 0 and vals[n - step] is not None and vals[n] != vals[n - step] + 1:
+                return {"n": n, "value": vals[n], "stepped": vals[n - step]}
+            return None
 
-    return _run(claim, window, body)
+        return _sweep(details, vals, lo, hi, compare)
+
+    return {"lo": lo, "hi": hi, "threshold": threshold}, body
 
 
-def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig):
     g1 = S.generators[0]
     thr = qp_threshold(S)
-    window = {"threshold": thr}
 
     def body(details):
         for p in (2, 3):
@@ -317,7 +326,7 @@ def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult
         details.update(checked=2)
         return None
 
-    return _run("lpmax-quasipoly", window, body)
+    return {"threshold": thr}, body
 
 
 def find_second_difference_start(S: NumericalSemigroup, span: int = 3) -> tuple[int, int]:
@@ -339,29 +348,22 @@ def find_second_difference_start(S: NumericalSemigroup, span: int = 3) -> tuple[
         scan_to += (span + 2) * N
 
 
-def _check_second_difference(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_second_difference(S: NumericalSemigroup, cfg: RunConfig):
     N = sum(g * g for g in S.generators)
 
     def body(details):
         n_star, scan_to = find_second_difference_start(S)
         details.update(n_star=n_star, N=N, scan_to=scan_to)
         vals = factor.extremal_values(S, n_star + 5 * N, 2, "min")
-        checked = 0
-        for n in range(n_star, n_star + 3 * N + 1):
-            if vals[n] is None:
-                continue
-            checked += 1
-            if vals[n + 2 * N] - 2 * vals[n + N] + vals[n] != 2 * N:
-                return {"n": n}
-        details.update(checked=checked)
-        return None
+        return _sweep(
+            details, vals, n_star, n_star + 3 * N,
+            lambda n: None if vals[n + 2 * N] - 2 * vals[n + N] + vals[n] == 2 * N else {"n": n},
+        )
 
-    return _run("l2min-second-difference", {"N": N}, body)
+    return {"N": N}, body
 
 
-def _check_shift_invariance(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
-    window = {"samples": cfg.samples, "seed": cfg.seed}
-
+def _check_shift_invariance(S: NumericalSemigroup, cfg: RunConfig):
     def body(details):
         rng = random.Random(cfg.seed)
         for _ in range(cfg.samples):
@@ -371,7 +373,7 @@ def _check_shift_invariance(S: NumericalSemigroup, cfg: RunConfig) -> CheckResul
         details.update(checked=cfg.samples)
         return None
 
-    return _run("l2min-shift-invariance", window, body)
+    return {"samples": cfg.samples, "seed": cfg.seed}, body
 
 
 def cube_min_candidates(n: int) -> list[int]:
@@ -400,30 +402,24 @@ def _cube_length(n: int, c: int) -> int:
     return c**3 + ((n - 2 * c) // 3) ** 3
 
 
-def _check_cube_floor_formula(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_cube_floor_formula(S: NumericalSemigroup, cfg: RunConfig):
     lo, hi = 100, 1600
-    window = {"lo": lo, "hi": hi}
 
     def body(details):
-        checked = 0
-        for n in range(lo, hi + 1):
-            if not S.contains(n):
-                continue
-            checked += 1
+        def compare(n):
             res = factor.extremal_plength(S, n, 3, "min")
-            cands = cube_min_candidates(n)
-            best = max(cands, key=lambda c: (-_cube_length(n, c), c))
+            best = max(cube_min_candidates(n), key=lambda c: (-_cube_length(n, c), c))
             if res.witness[0] != best:
                 return {"n": n, "witness": list(res.witness), "candidate": best}
-        details.update(checked=checked)
-        return None
+            return None
 
-    return _run("l3min-floor-formula", window, body)
+        return _sweep(details, factor.extremal_values(S, hi, 3, "min"), lo, hi, compare)
+
+    return {"lo": lo, "hi": hi}, body
 
 
-def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
+def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig):
     lo, hi = 100, 1600
-    window = {"lo": lo, "hi": hi, "d_max": cfg.d_max, "pi_max": cfg.pi_max}
 
     def body(details):
         w = sample_extremal(S, 3, "min", lo, hi)
@@ -436,12 +432,10 @@ def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
         details.update(searched={"d_max": cfg.d_max, "pi_max": cfg.pi_max})
         return None
 
-    return _run("l3min-not-quasipolynomial", window, body)
+    return {"lo": lo, "hi": hi, "d_max": cfg.d_max, "pi_max": cfg.pi_max}, body
 
 
-def _check_qp_table(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
-    thr = qp_threshold(S)
-
+def _check_qp_table(S: NumericalSemigroup, cfg: RunConfig):
     def body(details):
         reports = verify_qp_attributes(S)
         details["rows"] = [r.to_json() for r in reports]
@@ -450,44 +444,7 @@ def _check_qp_table(S: NumericalSemigroup, cfg: RunConfig) -> CheckResult:
                 return {"row": r.row.name}
         return None
 
-    return _run("qp-table", {"threshold": thr}, body)
-
-
-def verify_semigroup(S: NumericalSemigroup, cfg: RunConfig | None = None) -> VerificationReport:
-    """Replay every claim about extremal lengths over S."""
-    cfg = cfg or RunConfig()
-    t0 = time.perf_counter()
-    thunks = [
-        lambda: _check_len_recurrence(S, cfg, "min"),
-        lambda: _check_len_recurrence(S, cfg, "max"),
-        lambda: _check_l0_periodic(S, cfg),
-        lambda: _check_l0_constant(S, cfg),
-        lambda: _check_linfmin_lower_bound(S, cfg),
-        lambda: _check_linfmin_apery_bound(S, cfg),
-        lambda: _check_linf_closed(S, cfg, "max"),
-        lambda: _check_linf_closed(S, cfg, "min"),
-        lambda: _check_lpmax_quasipoly(S, cfg),
-        lambda: _check_second_difference(S, cfg),
-        lambda: _check_shift_invariance(S, cfg),
-        lambda: _check_qp_table(S, cfg),
-    ]
-    if S.generators == (2, 3):
-        thunks.append(lambda: _check_cube_floor_formula(S, cfg))
-        thunks.append(lambda: _check_cube_not_qp(S, cfg))
-    checks = _execute(thunks, cfg.jobs)
-    return VerificationReport(
-        {"kind": "numerical-semigroup", **S.to_json()}, checks, time.perf_counter() - t0
-    )
-
-
-def _execute(thunks, jobs: int) -> list[CheckResult]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in thunks]
-            results = [f.result() for f in futures]
-    else:
-        results = [t() for t in thunks]
-    return sorted(results, key=lambda c: c.claim)
+    return {"threshold": qp_threshold(S)}, body
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +471,8 @@ def _sandwich_cases(M: Acm, cfg: RunConfig) -> list[int]:
     return out or [M.b + M.a]
 
 
-def _check_power_sandwich(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_power_sandwich(M: Acm, cfg: RunConfig):
     cases = _sandwich_cases(M, cfg)
-    window = {"x": cases, "n_max": cfg.power_limit}
 
     def body(details):
         checked = 0
@@ -538,12 +494,11 @@ def _check_power_sandwich(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(checked=checked)
         return None
 
-    return _run("power-sandwich", window, body)
+    return {"x": cases, "n_max": cfg.power_limit}, body
 
 
-def _check_smooth_classifier(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_smooth_classifier(M: Acm, cfg: RunConfig):
     limit = cfg.smooth_limit
-    window = {"limit": limit}
 
     def body(details):
         checked = 0
@@ -568,16 +523,15 @@ def _check_smooth_classifier(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(checked=checked)
         return None
 
-    return _run("smooth-classifier", window, body)
+    return {"limit": limit}, body
 
 
-def _check_closed_support(M: Acm, cfg: RunConfig, base: int) -> CheckResult:
+def _check_closed_support(M: Acm, cfg: RunConfig, base: int):
     x = acm46.smooth_from_int(base)
     if base == 28:
-        lo, hi, closed, claim = 3, max(3, cfg.power_limit), acm46.ell0_max_28_closed, "max-support-closed-28"
+        lo, hi, closed = 3, max(3, cfg.power_limit), acm46.ell0_max_28_closed
     else:
-        lo, hi, closed, claim = 1, max(1, cfg.power_limit), acm46.ell0_max_40_closed, "max-support-closed-40"
-    window = {"lo": lo, "hi": hi}
+        lo, hi, closed = 1, max(1, cfg.power_limit), acm46.ell0_max_40_closed
 
     def body(details):
         for n in range(lo, hi + 1):
@@ -587,12 +541,10 @@ def _check_closed_support(M: Acm, cfg: RunConfig, base: int) -> CheckResult:
         details.update(checked=hi - lo + 1)
         return None
 
-    return _run(claim, window, body)
+    return {"lo": lo, "hi": hi}, body
 
 
-def _check_construction_70(M: Acm, cfg: RunConfig) -> CheckResult:
-    window = {"k": [2, 4, 6, 8, 10]}
-
+def _check_construction_70(M: Acm, cfg: RunConfig):
     def body(details):
         rows = []
         for k in (2, 4, 6, 8, 10):
@@ -601,12 +553,11 @@ def _check_construction_70(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(constructions=rows)
         return None
 
-    return _run("construction-70", window, body)
+    return {"k": [2, 4, 6, 8, 10]}, body
 
 
-def _check_good_atom_bound(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_good_atom_bound(M: Acm, cfg: RunConfig):
     bases = [28, 40, 70, 490]
-    window = {"x": bases, "n_max": cfg.power_limit}
 
     def body(details):
         counts = {}
@@ -622,13 +573,12 @@ def _check_good_atom_bound(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(good_atom_counts=counts)
         return None
 
-    return _run("good-atom-lower-bound", window, body)
+    return {"x": bases, "n_max": cfg.power_limit}, body
 
 
-def _check_evil_slots(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_evil_slots(M: Acm, cfg: RunConfig):
     bases = [28, 40, 70]
     n_max = min(cfg.power_limit, 4)
-    window = {"x": bases, "n_max": n_max}
 
     def body(details):
         checked = 0
@@ -649,12 +599,11 @@ def _check_evil_slots(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(checked=checked)
         return None
 
-    return _run("evil-slots-bounded", window, body)
+    return {"x": bases, "n_max": n_max}, body
 
 
-def _check_two_atom_split(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_two_atom_split(M: Acm, cfg: RunConfig):
     limit = cfg.m66_limit
-    window = {"limit": limit}
 
     def body(details):
         checked = 0
@@ -669,12 +618,10 @@ def _check_two_atom_split(M: Acm, cfg: RunConfig) -> CheckResult:
         details.update(checked=checked)
         return None
 
-    return _run("two-atom-split", window, body)
+    return {"limit": limit}, body
 
 
-def _check_hilbert(M: Acm, cfg: RunConfig) -> CheckResult:
-    window = {"x": 441}
-
+def _check_hilbert(M: Acm, cfg: RunConfig):
     def body(details):
         fzs = M.factorizations(441)
         want = [((9, 1), (49, 1)), ((21, 2),)]
@@ -691,13 +638,12 @@ def _check_hilbert(M: Acm, cfg: RunConfig) -> CheckResult:
             return values
         return None
 
-    return _run("hilbert-441", window, body)
+    return {"x": 441}, body
 
 
-def _check_stable_power_atoms(M: Acm, cfg: RunConfig) -> CheckResult:
+def _check_stable_power_atoms(M: Acm, cfg: RunConfig):
     bases = [441, 225]
     n_max = 10
-    window = {"x": bases, "n_max": n_max}
 
     def body(details):
         for base in bases:
@@ -714,29 +660,66 @@ def _check_stable_power_atoms(M: Acm, cfg: RunConfig) -> CheckResult:
             details[str(base)] = {"atoms": supports[-1], "l0_max": l0[-1]}
         return None
 
-    return _run("stable-power-atoms", window, body)
+    return {"x": bases, "n_max": n_max}, body
+
+
+# ---------------------------------------------------------------------------
+# Claim tables: (claim id, the subject it is limited to or None for every
+# subject, check, extra check arguments), in the order the checks run. A
+# semigroup is named by its generators, a monoid by (a, b).
+# ---------------------------------------------------------------------------
+
+SEMIGROUP_CLAIMS = (
+    ("l1min-recurrence", None, _check_len_recurrence, "min"),
+    ("l1max-recurrence", None, _check_len_recurrence, "max"),
+    ("l0min-periodic", None, _check_l0_periodic),
+    ("l0max-constant", None, _check_l0_constant),
+    ("linfmin-lower-bound", None, _check_linfmin_lower_bound),
+    ("linfmin-apery-bound", None, _check_linfmin_apery_bound),
+    ("linfmax-closed-form", None, _check_linf_closed, "max"),
+    ("linfmin-closed-form", None, _check_linf_closed, "min"),
+    ("lpmax-quasipoly", None, _check_lpmax_quasipoly),
+    ("l2min-second-difference", None, _check_second_difference),
+    ("l2min-shift-invariance", None, _check_shift_invariance),
+    ("qp-table", None, _check_qp_table),
+    ("l3min-floor-formula", (2, 3), _check_cube_floor_formula),
+    ("l3min-not-quasipolynomial", (2, 3), _check_cube_not_qp),
+)
+
+ACM_CLAIMS = (
+    ("power-sandwich", None, _check_power_sandwich),
+    ("smooth-classifier", (4, 6), _check_smooth_classifier),
+    ("max-support-closed-28", (4, 6), _check_closed_support, 28),
+    ("max-support-closed-40", (4, 6), _check_closed_support, 40),
+    ("construction-70", (4, 6), _check_construction_70),
+    ("good-atom-lower-bound", (4, 6), _check_good_atom_bound),
+    ("evil-slots-bounded", (4, 6), _check_evil_slots),
+    ("hilbert-441", (1, 4), _check_hilbert),
+    ("stable-power-atoms", (1, 4), _check_stable_power_atoms),
+    ("two-atom-split", (6, 6), _check_two_atom_split),
+)
+
+
+def _replay(claims, subject, key: tuple, cfg: RunConfig) -> list[CheckResult]:
+    checks = [
+        _run(claim, *check(subject, cfg, *args))
+        for claim, only, check, *args in claims
+        if only in (None, key)
+    ]
+    return sorted(checks, key=lambda c: c.claim)
+
+
+def verify_semigroup(S: NumericalSemigroup, cfg: RunConfig | None = None) -> VerificationReport:
+    """Replay every claim about extremal lengths over S."""
+    t0 = time.perf_counter()
+    checks = _replay(SEMIGROUP_CLAIMS, S, S.generators, cfg or RunConfig())
+    return VerificationReport(
+        {"kind": "numerical-semigroup", **S.to_json()}, checks, time.perf_counter() - t0
+    )
 
 
 def verify_acm(M: Acm, cfg: RunConfig | None = None) -> VerificationReport:
     """Replay the claims that apply to the given congruence monoid."""
-    cfg = cfg or RunConfig()
     t0 = time.perf_counter()
-    thunks = [lambda: _check_power_sandwich(M, cfg)]
-    if (M.a, M.b) == (4, 6):
-        thunks += [
-            lambda: _check_smooth_classifier(M, cfg),
-            lambda: _check_closed_support(M, cfg, 28),
-            lambda: _check_closed_support(M, cfg, 40),
-            lambda: _check_construction_70(M, cfg),
-            lambda: _check_good_atom_bound(M, cfg),
-            lambda: _check_evil_slots(M, cfg),
-        ]
-    if (M.a, M.b) == (1, 4):
-        thunks += [
-            lambda: _check_hilbert(M, cfg),
-            lambda: _check_stable_power_atoms(M, cfg),
-        ]
-    if (M.a, M.b) == (6, 6):
-        thunks.append(lambda: _check_two_atom_split(M, cfg))
-    checks = _execute(thunks, cfg.jobs)
+    checks = _replay(ACM_CLAIMS, M, (M.a, M.b), cfg or RunConfig())
     return VerificationReport({"kind": "acm", **M.to_json()}, checks, time.perf_counter() - t0)

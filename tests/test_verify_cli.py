@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,28 @@ from plengths.cli import main
 from plengths.verify import cube_min_candidates, find_second_difference_start
 
 QUICK = RunConfig(sweep=60, samples=8, power_limit=4, smooth_limit=20_000, m66_limit=2_000)
+
+# Reference digests of the benchmark's command lines; read only.
+REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
+
+SEMIGROUP_CLAIM_IDS = {
+    "l0max-constant", "l0min-periodic", "l1max-recurrence", "l1min-recurrence",
+    "l2min-second-difference", "l2min-shift-invariance", "linfmax-closed-form",
+    "linfmin-apery-bound", "linfmin-closed-form", "linfmin-lower-bound",
+    "lpmax-quasipoly", "qp-table",
+}
+VERIFY_CLAIM_IDS = {
+    "ns verify --gens 2,3 --seed 0":
+        SEMIGROUP_CLAIM_IDS | {"l3min-floor-formula", "l3min-not-quasipolynomial"},
+    "ns verify --gens 3,5,7 --seed 0": SEMIGROUP_CLAIM_IDS,
+    "acm verify --a 4 --b 6": {
+        "power-sandwich", "smooth-classifier", "max-support-closed-28",
+        "max-support-closed-40", "construction-70", "good-atom-lower-bound",
+        "evil-slots-bounded",
+    },
+    "acm verify --a 1 --b 4": {"power-sandwich", "hilbert-441", "stable-power-atoms"},
+    "acm verify --a 6 --b 6": {"power-sandwich", "two-atom-split"},
+}
 
 
 class TestHarness:
@@ -27,20 +51,13 @@ class TestHarness:
             report = verify_acm(Acm(a, b), QUICK)
             assert report.passed, report.to_json()
 
-    def test_parallel_matches_serial(self, semigroups):
-        serial = verify_semigroup(semigroups[(2, 3)], QUICK)
-        parallel = verify_semigroup(semigroups[(2, 3)], RunConfig(**{**QUICK.__dict__, "jobs": 4}))
-        assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
-            parallel.to_json(), sort_keys=True
-        )
-
     def test_failure_carries_counterexample(self):
         # the two-atom-split property is specific to (6, 6); running the same
         # check against (1, 4) must fail and name a concrete element (125 = 5^3
         # is the first reducible member needing three atoms)
-        from plengths.verify import _check_two_atom_split
+        from plengths.verify import _check_two_atom_split, _run
 
-        result = _check_two_atom_split(Acm(1, 4), RunConfig(m66_limit=200))
+        result = _run("two-atom-split", *_check_two_atom_split(Acm(1, 4), RunConfig(m66_limit=200)))
         assert not result.passed
         assert result.counterexample == {"x": 125, "l1_min": 3}
 
@@ -149,6 +166,50 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(target.read_text())["frobenius"] == 1
+
+    @pytest.mark.parametrize("command", sorted(VERIFY_CLAIM_IDS))
+    def test_verify_matches_reference(self, capsys, command):
+        code, out = self.run(capsys, *command.split())
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (code, digest) == (REFS[command]["rc"], REFS[command]["digest"])
+        assert {c["claim"] for c in json.loads(out)["checks"]} == VERIFY_CLAIM_IDS[command]
+
+    def test_empty_window_fails(self, capsys):
+        code, out = self.run(capsys, "ns", "verify", "--gens", "2,3", "--window", "0:5")
+        data = json.loads(out)
+        assert code == 1 and not data["passed"]
+        empty = {c["claim"]: c for c in data["checks"] if not c["passed"]}
+        assert set(empty) == {
+            "l0max-constant", "l0min-periodic", "linfmax-closed-form", "linfmin-closed-form"
+        }
+        for c in empty.values():
+            assert c["details"]["checked"] == 0
+            assert c["counterexample"] == {"error": "nothing was examined"}
+
+    def test_unknown_config_key_or_type_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        for data in ({"jobs": 2}, {"sweep": "200"}):
+            path.write_text(json.dumps(data))
+            assert self.run(capsys, "ns", "verify", "--gens", "2,3", "--config", str(path))[0] == 2
+
+    def test_window_not_a_pair_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        for window in ("200:800", [200], [200, 800.0]):
+            path.write_text(json.dumps({"window": window}))
+            assert self.run(capsys, "ns", "verify", "--gens", "2,3", "--config", str(path))[0] == 2
+
+    def test_reversed_window_exit_2(self, capsys, tmp_path, monkeypatch):
+        argv = ["ns", "verify", "--gens", "2,3"]
+        assert self.run(capsys, *argv, "--window", "9:3")[0] == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"window": [9, 3]}))
+        assert self.run(capsys, *argv, "--config", str(path))[0] == 2
+        monkeypatch.setenv("PLENGTHS_WINDOW", "9:3")
+        assert self.run(capsys, *argv)[0] == 2
+
+    def test_growth_rejects_zero(self):
+        argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "0", "--p", "1", "--mode", "max"]
+        assert main([*argv, "--nmax", "3"]) == 2
 
     def test_qp_table_passes(self, capsys):
         code, out = self.run(capsys, "ns", "qp-table", "--gens", "3,5,7")
