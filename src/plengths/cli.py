@@ -20,7 +20,7 @@ from .acm import Acm, factorization_to_json
 from .errors import PlengthsError
 from .quasipoly import verify_qp_attributes
 from .semigroup import NumericalSemigroup
-from .verify import RunConfig, verify_acm, verify_semigroup
+from .verify import FORMATS, RunConfig, verify_acm, verify_semigroup
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -51,7 +51,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
+    sub.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
     sub.add_argument("--out", default=None, help="write output to this file")
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--budget", type=int, default=None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from math import gcd, isqrt
+from operator import add
 from typing import NamedTuple
 
 from .errors import (
@@ -110,12 +111,42 @@ def factorizations(
 #
 # best(m, i) = opt over z >= 0 of combine(cost(z), best(m - z * g_i, i + 1)),
 # combining with + for finite p and with max for p == inf. The tables below
-# materialize best(., i) for every amount up to a requested bound; they are
-# cached per (generators, p, mode) and regrown geometrically, so sweeping a
-# window of n values costs one table build instead of one recursion per n.
+# materialize best(., i) for every amount up to a requested bound. Row i is
+# filled from next = best(., i + 1) by a recurrence fitted to the exponent:
+#
+#   p == 1        best(m, i) = opt(next[m], best(m - g_i, i) + 1)
+#   p == 0        best(m, i) = opt(next[m], R + 1), R the optimum of next
+#                 over the smaller amounts of m's residue class mod g_i
+#   p == inf max  best(m, i) = max(R, (m - f) // g_i), R the largest next
+#                 over the class up to m and f its first feasible amount
+#   p >= 2 min    z ** p is convex, so along a residue class the candidates
+#                 cost(j - t) + next[t] form a Monge matrix whose leftmost
+#                 argmin is monotone in j: divide and conquer over rows
+#   otherwise     (p == inf min, p >= 2 max) a scan over z; for inf min it
+#                 stops once z reaches the best value found
+#
+# A table costs O(n) cells for p in {0, 1} and inf max and O(n log n) per
+# residue class for p >= 2 min. Tables are cached per (generators, p, mode)
+# and grown geometrically. Every cell reads only smaller amounts, so regrowth
+# extends the rows in place, resuming from the O(g_i) values of state each
+# row keeps; sweeping a window of n values costs one table build.
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[tuple, tuple[int, list]] = {}
+
+class _TableSet:
+    """Rows best(., i) over amounts 0..size for each generator index i, and
+    the state each row's next fill resumes from (None before the first)."""
+
+    __slots__ = ("gens", "size", "rows", "states")
+
+    def __init__(self, gens: tuple[int, ...]) -> None:
+        self.gens = gens
+        self.size = -1
+        self.rows: list[list] = [[] for _ in gens]
+        self.states: list = [None] * len(gens)
+
+
+_TABLE_CACHE: dict[tuple, _TableSet] = {}
 _TABLE_LOCK = threading.Lock()
 
 
@@ -127,69 +158,143 @@ def _coord_cost(z: int, p) -> int:
     return z**p
 
 
-def _build_tables(gens: tuple[int, ...], n_max: int, p, mode: str) -> list:
-    k = len(gens)
-    want_min = mode == "min"
-    tables: list[list] = [None] * k  # type: ignore[list-item]
+def _better(v, best, want_min: bool) -> bool:
+    """v improves on best, where None (infeasible) loses to everything."""
+    return v is not None and (best is None or (v < best if want_min else v > best))
 
-    g = gens[-1]
-    last: list = [None] * (n_max + 1)
+
+def _fill_row(row: list, nxt: list, g: int, lo: int, hi: int, p, want_min: bool, state):
+    """Set row[lo..hi] to best(m, i) from nxt = best(., i + 1) over 0..hi.
+
+    row already holds best(m, i) for m < lo. state is what the previous fill
+    of this row returned (None before the first); the new state is returned.
+    """
+    if p == 1:
+        for m in range(lo, hi + 1):
+            best = nxt[m]
+            prev = row[m - g] if m >= g else None
+            if prev is not None and _better(prev + 1, best, want_min):
+                best = prev + 1
+            row[m] = best
+        return None
+    if p == 0:
+        run = state or [None] * g  # per class: opt of nxt over amounts < m
+        for m in range(lo, hi + 1):
+            r = m % g
+            best, prev = nxt[m], run[r]
+            if prev is not None and _better(prev + 1, best, want_min):
+                best = prev + 1
+            row[m] = best
+            if _better(nxt[m], prev, want_min):
+                run[r] = nxt[m]
+        return run
+    if p == INF and not want_min:
+        run, first = state or ([None] * g, [None] * g)  # per class: max, first feasible
+        for m in range(lo, hi + 1):
+            r = m % g
+            sub = nxt[m]
+            if sub is not None:
+                if first[r] is None:
+                    first[r] = m
+                if run[r] is None or sub > run[r]:
+                    run[r] = sub
+            if first[r] is None:
+                row[m] = None
+            else:
+                z = (m - first[r]) // g
+                row[m] = run[r] if run[r] > z else z
+        return run, first
     if p == INF:
-        for m in range(0, n_max + 1, g):
-            last[m] = m // g
-    else:
-        for m in range(0, n_max + 1, g):
-            last[m] = _coord_cost(m // g, p)
-    tables[-1] = last
-
-    for i in range(k - 2, -1, -1):
-        g = gens[i]
-        nxt = tables[i + 1]
-        row: list = [None] * (n_max + 1)
-        if p == INF:
-            for m in range(n_max + 1):
-                best = None
-                off = m
-                for z in range(m // g + 1):
-                    sub = nxt[off]
-                    off -= g
-                    if sub is None:
-                        continue
+        for m in range(lo, hi + 1):
+            best = nxt[m]
+            z, off = 1, m - g
+            while off >= 0 and (best is None or z < best):
+                sub = nxt[off]
+                if sub is not None:
                     v = sub if sub > z else z
-                    if best is None or (v < best if want_min else v > best):
+                    if best is None or v < best:
                         best = v
-                row[m] = best
-        else:
-            costs = [_coord_cost(z, p) for z in range(n_max // g + 1)]
-            for m in range(n_max + 1):
-                best = None
-                off = m
-                for z in range(m // g + 1):
-                    sub = nxt[off]
-                    off -= g
-                    if sub is not None:
-                        v = costs[z] + sub
-                        if best is None or (v < best if want_min else v > best):
-                            best = v
-                row[m] = best
-        tables[i] = row
-    return tables
+                z += 1
+                off -= g
+            row[m] = best
+        return None
+    costs = [z**p for z in range(hi // g + 1)]
+    if not want_min:
+        low = -costs[-1] - 1  # stands in for None: every candidate using it is < 0
+        b = [low if v is None else v for v in nxt[: hi + 1]]
+        for m in range(lo, hi + 1):
+            best = max(map(add, costs, b[m::-g]))
+            row[m] = best if best >= 0 else None
+        return None
+    return _fill_convex_min(row, nxt, g, lo, hi, costs, state)
+
+
+def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, costs: list, state):
+    """The p >= 2 min case of _fill_row, one residue class r at a time.
+
+    With b[t] = nxt[r + t*g], best(r + j*g) = min over t <= j of
+    costs[j - t] + b[t]. An infeasible b[t] becomes `big`, above every finite
+    candidate, so the matrix stays Monge and its leftmost argmin stays
+    monotone in j. state[r] is that argmin at the last amount filled in
+    class r, a lower bound on the argmin of every later amount.
+    """
+    big = costs[-1] + max((v for v in nxt[: hi + 1] if v is not None), default=0) + 1
+    argmin = state or [0] * g
+    for r in range(min(g, hi + 1)):
+        j0, j1 = max(0, -((r - lo) // g)), (hi - r) // g
+        if j0 > j1:
+            continue
+        b = [big if v is None else v for v in nxt[r : hi + 1 : g]]
+        pending = [(j0, j1, argmin[r], j1)]  # rows jl..jh, argmins within tl..th
+        while pending:
+            jl, jh, tl, th = pending.pop()
+            j = (jl + jh) // 2
+            top = min(th, j)
+            cand = list(map(add, costs[j - top : j - tl + 1][::-1], b[tl : top + 1]))
+            best = min(cand)
+            t = tl + cand.index(best)
+            row[r + j * g] = best if best < big else None
+            if j == j1:
+                argmin[r] = t
+            if jl < j:
+                pending.append((jl, j - 1, tl, t))
+            if j < jh:
+                pending.append((j + 1, jh, t, th))
+    return argmin
+
+
+def _extend(ts: _TableSet, size: int, p, mode: str) -> None:
+    """Grow every row of ts to amounts 0..size, the last generator first."""
+    lo, gens, rows = ts.size + 1, ts.gens, ts.rows
+    want_min = mode == "min"
+    g = gens[-1]
+    last = rows[-1]
+    last.extend([None] * (size + 1 - lo))
+    for m in range(-(-lo // g) * g, size + 1, g):
+        last[m] = m // g if p == INF else _coord_cost(m // g, p)
+    for i in range(len(gens) - 2, -1, -1):
+        rows[i].extend([None] * (size + 1 - lo))
+        ts.states[i] = _fill_row(rows[i], rows[i + 1], gens[i], lo, size, p, want_min, ts.states[i])
+    ts.size = size
 
 
 def _tables(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
     key = (S.generators, p, mode)
     with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-        if hit is not None and hit[0] >= n_max:
-            return hit[1]
-    size = n_max if hit is None else max(n_max, hit[0] + hit[0] // 2)
-    built = _build_tables(S.generators, size, p, mode)
-    with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-        if hit is None or hit[0] < size:
-            _TABLE_CACHE[key] = (size, built)
-            return built
-        return hit[1]
+        ts = _TABLE_CACHE.get(key)
+        if ts is None:
+            ts = _TABLE_CACHE[key] = _TableSet(S.generators)
+            size = n_max
+        elif ts.size >= n_max:
+            return ts.rows
+        else:
+            size = max(n_max, ts.size + ts.size // 2)
+        try:
+            _extend(ts, size, p, mode)
+        except BaseException:
+            del _TABLE_CACHE[key]  # a half-extended table must not be reused
+            raise
+        return ts.rows
 
 
 def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
@@ -354,6 +459,15 @@ def _bezout_combination(gens: tuple[int, ...]) -> list[int]:
     return coeff
 
 
+def _round_div(a: int, b: int) -> int:
+    """a / b (b > 0) rounded to the nearest integer, ties to even, exactly:
+    round(a / b) without the float, so any size of integer works."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
 def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
     """Exact minimizer of sum(z_i^2) over all of Z^k with sum(z_i g_i) == n."""
     if n < 0:
@@ -382,7 +496,7 @@ def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
                 (N * zi - n * gi) * N * vi for zi, gi, vi in zip(z, gens, v)
             )
             den = sum((N * vi) ** 2 for vi in v)
-            t = round(-num / den)
+            t = _round_div(-num, den)
             if t:
                 z2 = [zi + t * vi for zi, vi in zip(z, v)]
                 if J(z2) < J(z):
@@ -411,7 +525,7 @@ def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
         s = isqrt(best_j)
         lo = -((s - n * gi) // N)
         hi = (n * gi + s) // N
-        center = round(n * gi / N)
+        center = _round_div(n * gi, N)
         for zv in sorted(range(lo, hi + 1), key=lambda v: abs(v - center)):
             w = (N * zv - n * gi) ** 2
             dfs(i + 1, partial + [zv], acc + w)

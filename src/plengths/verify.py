@@ -32,6 +32,7 @@ from .semigroup import NumericalSemigroup
 INF = math.inf
 
 ENV_PREFIX = "PLENGTHS_"
+FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,11 @@ class RunConfig:
                 raise ValueError(f"{config_path}: config must be a JSON object")
             values.update(data)
         for name in defaults:
-            env = os.environ.get(ENV_PREFIX + name.upper())
-            if env is not None:
+            var = ENV_PREFIX + name.upper()
+            env = os.environ.get(var)
+            if env is None:
+                continue
+            try:
                 if name == "window":
                     lo, hi = env.split(":")
                     values[name] = (int(lo), int(hi))
@@ -76,6 +80,9 @@ class RunConfig:
                     values[name] = env
                 else:
                     values[name] = int(env)
+            except ValueError:
+                form = "LO:HI with two integers" if name == "window" else "an integer"
+                raise ValueError(f"{var} must be {form}, not {env!r}") from None
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         for name, value in values.items():
@@ -83,6 +90,8 @@ class RunConfig:
                 raise ValueError(f"unknown config key: {name}")
             if name != "window" and type(value) is not type(defaults[name]):
                 raise ValueError(f"{name} must be {type(defaults[name]).__name__}, not {value!r}")
+        if values.get("fmt", "json") not in FORMATS:
+            raise ValueError(f"fmt must be one of {', '.join(FORMATS)}, not {values['fmt']!r}")
         window = values.get("window")
         if window is not None:
             if not isinstance(window, (list, tuple)) or [type(v) for v in window] != [int, int]:

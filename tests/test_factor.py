@@ -211,3 +211,10 @@ class TestMin2:
         assert min2_shift_check(semigroups[(2, 3)], 0)
         assert min2_shift_check(semigroups[(2, 3)], 12)
         assert min2_shift_check(semigroups[(3, 5, 7)], 40)
+
+    def test_huge_n_is_exact(self, semigroups):
+        gens = (3, 5, 7)
+        n = 10**400
+        res = min2_integer_minimizer(semigroups[gens], n)
+        assert sum(z * g for z, g in zip(res.witness, gens)) == n
+        assert res.value == sum(z * z for z in res.witness)

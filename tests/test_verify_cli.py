@@ -207,6 +207,24 @@ class TestCli:
         monkeypatch.setenv("PLENGTHS_WINDOW", "9:3")
         assert self.run(capsys, *argv)[0] == 2
 
+    def test_unknown_format_exit_2(self, capsys, tmp_path, monkeypatch):
+        argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "28", "--p", "0", "--mode", "max"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"fmt": "xml"}))
+        assert main([*argv, "--nmax", "2", "--config", str(path)]) == 2
+        assert "fmt must be one of json, csv" in capsys.readouterr().err
+        monkeypatch.setenv("PLENGTHS_FMT", "xml")
+        assert main([*argv, "--nmax", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "fmt must be one of json, csv" in captured.err
+
+    @pytest.mark.parametrize("value", ["9", "a:5"])
+    def test_malformed_window_variable_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PLENGTHS_WINDOW", value)
+        assert main(["ns", "verify", "--gens", "2,3"]) == 2
+        err = capsys.readouterr().err
+        assert "PLENGTHS_WINDOW" in err and "LO:HI" in err and repr(value) in err
+
     def test_growth_rejects_zero(self):
         argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "0", "--p", "1", "--mode", "max"]
         assert main([*argv, "--nmax", "3"]) == 2
