@@ -4,35 +4,84 @@ M(a, b) is the multiplicative monoid {1} union {x >= 1 : x == a mod b},
 which is closed under multiplication exactly when a^2 == a mod b. Atoms are
 found by divisor search, and factorization sets are enumerated by recursive
 descent over atom divisors in nondecreasing order (so each multiset appears
-once). Elements are factored by trial division, so inputs must have small
-prime factors; that holds for everything this package computes with.
+once). The extremal total multiplicity (p = 1) is found without enumerating:
+the divisors of x are exponent vectors over its prime support, and
+ExponentLattice keeps sets of them as bitsets, so the sums of exactly k atoms
+form one bitset per k. Other exponents take the optimum over the enumeration.
+Elements are factored by trial division up to a fixed bound with a primality
+proof for the cofactor left over; an input whose cofactor is composite or
+cannot be proven prime raises BudgetExceededError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from math import gcd
 
 from . import factor as _factor
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
 
+# Largest table of bitsets the p = 1 search builds, in bytes.
+REACH_BYTE_LIMIT = 64 << 20
+
+# Trial division stops at this divisor; a cofactor below its square is prime.
+TRIAL_DIVISION_LIMIT = 10**6
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 AcmFactorization = tuple[tuple[int, int], ...]
 """Canonical multiset of atoms: ((atom, multiplicity), ...) sorted by atom."""
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_powers(x: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of x, ascending by prime.
+
+    Raises BudgetExceededError when the part of x without prime factors up
+    to TRIAL_DIVISION_LIMIT is neither below that limit squared nor proven
+    prime, i.e. it has two or more large prime factors or is too large for
+    the exact primality test.
+    """
     out = []
-    d = 2
-    while d * d <= x:
+    for d in chain((2,), range(3, TRIAL_DIVISION_LIMIT + 1, 2)):
+        if d * d > x:
+            break
         if x % d == 0:
             e = 0
             while x % d == 0:
                 e += 1
                 x //= d
             out.append((d, e))
-        d += 1 if d == 2 else 2
     if x > 1:
+        if x > TRIAL_DIVISION_LIMIT**2 and not (x < _MR_EXACT_BELOW and _is_prime(x)):
+            raise BudgetExceededError(
+                f"cannot factor {x}: no prime factor up to {TRIAL_DIVISION_LIMIT}"
+                " and not provably prime"
+            )
         out.append((x, 1))
     return out
 
@@ -43,6 +92,79 @@ def _divisors(x: int) -> list[int]:
         ds = [d * p**i for d in ds for i in range(e + 1)]
     ds.sort()
     return ds
+
+
+class ExponentLattice:
+    """Sets of exponent vectors v <= e, each set held as one int.
+
+    Vector v is bit sum(v[j] * strides[j]). Digit j runs over 2 * (e[j] + 1)
+    values, so the sum of two vectors <= e never carries into the next digit:
+    adding a vector u to every member of a set is a shift by u's index, and
+    masking with `valid` keeps the sums that are still <= e.
+    """
+
+    __slots__ = ("e", "strides", "nbits", "valid")
+
+    def __init__(self, e) -> None:
+        self.e = tuple(e)
+        strides = []
+        stride = valid = 1
+        for ej in self.e:
+            strides.append(stride)
+            # ej + 1 copies of the lower digits' mask, one per value of digit j
+            valid *= ((1 << (ej + 1) * stride) - 1) // ((1 << stride) - 1)
+            stride *= 2 * (ej + 1)
+        self.strides = tuple(strides)
+        self.nbits = stride
+        self.valid = valid
+
+    def index(self, v) -> int:
+        return sum(vj * s for vj, s in zip(v, self.strides))
+
+    def check_size(self, count: int) -> None:
+        """Raise BudgetExceededError before count bitsets outgrow REACH_BYTE_LIMIT."""
+        need = count * self.nbits // 8
+        if need > REACH_BYTE_LIMIT:
+            raise BudgetExceededError(
+                f"reachability over exponents {self.e} needs {need} bytes,"
+                f" more than {REACH_BYTE_LIMIT}"
+            )
+
+    def layers(self, offs: list[int]):
+        """Yield L_0 = {0}, L_1, ... until empty: L_k holds the sums of
+        exactly k vectors, repetition allowed, from those at indices offs."""
+        layer = 1
+        while layer:
+            yield layer
+            nxt = 0
+            for off in offs:
+                nxt |= layer << off
+            layer = nxt & self.valid
+
+    def capped_reach(self, offs: list[int], cap: int) -> int:
+        """Sums that use each of the vectors with indices offs at most cap times."""
+        reach = 1
+        for off in offs:
+            step = reach
+            for _ in range(cap):
+                step = (step << off) & self.valid
+                if not step:
+                    break
+                reach |= step
+        return reach
+
+    def suffix_layers(self, offs: list[int], kmax: int) -> list[list[int]]:
+        """L[i][k] for k <= kmax: sums of exactly k vectors from offs[i:]."""
+        valid = self.valid
+        out = [[1] + [0] * kmax]
+        for off in reversed(offs):
+            nxt = out[-1]
+            row = [1]
+            for k in range(1, kmax + 1):
+                row.append(nxt[k] | ((row[-1] << off) & valid))
+            out.append(row)
+        out.reverse()
+        return out
 
 
 class Acm:
@@ -126,17 +248,23 @@ class Acm:
 
         The p-length of a multiset is that of its multiplicity vector. The
         witness is the lexicographically least canonical multiset among the
-        optima; for x == 1 the value is 0 with the empty witness.
+        optima; for x == 1 the value is 0 with the empty witness. p == 1 is
+        solved by reachability over x's divisor lattice and raises
+        BudgetExceededError when its bitsets would exceed REACH_BYTE_LIMIT
+        bytes; other exponents take the optimum over factorizations(x).
         """
         _factor.check_exponent(p)
         if mode not in ("min", "max"):
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-        fzs = self.factorizations(x)
+        if not self.contains(x):
+            raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
             return _factor.ExtremalResult(0, ())
+        if p == 1:
+            return self._extremal_length(x, mode)
         best = None
         best_fz = None
-        for fz in fzs:  # canonical ascending order fixes tie-breaking
+        for fz in self.factorizations(x):  # canonical ascending order fixes tie-breaking
             v = _factor.plength([m for _, m in fz], p)
             if best is None or (v < best if mode == "min" else v > best):
                 best = v
@@ -144,6 +272,63 @@ class Acm:
         if best is None:
             raise NotInMonoidError(f"{x} has no factorization in {self!r}")
         return _factor.ExtremalResult(best, best_fz)
+
+    def _extremal_length(self, x: int, mode: str) -> _factor.ExtremalResult:
+        """The p == 1 case of extremal_plength, for a non-unit member x."""
+        pps = _prime_powers(x)
+        lat = ExponentLattice([e for _, e in pps])
+        lat.check_size(2)
+        divs = [(1, 0, 0)]  # (divisor, bit index, number of prime factors)
+        for (q, e), stride in zip(pps, lat.strides):
+            steps = [(q**i, i * stride, i) for i in range(e + 1)]
+            divs = [(d * f, at + s, w + i) for d, at, w in divs for f, s, i in steps]
+        res = self.a % self.b
+        members = [t for t in divs[1:] if t[0] % self.b == res]  # divs[0] is 1
+        # an atom of the monoid dividing x is a member that is no sum of two
+        bits = bytearray(lat.nbits // 8 + 1)
+        for _, at, _ in members:
+            bits[at >> 3] |= 1 << (at & 7)
+        mset = int.from_bytes(bits, "little")
+        sums = 0
+        for _, at, _ in members:
+            sums |= mset << at
+        atoms = sorted(t for t in members if not sums >> t[1] & 1)
+        # k atoms have at least k * min(w) prime factors, and k * v_q(g)
+        # factors q for g the gcd of the atoms
+        kmax = sum(lat.e) // min(w for _, _, w in atoms)
+        g = gcd(*(u for u, _, _ in atoms))
+        for q, e in pps:
+            low = 0
+            while g % q == 0:
+                g //= q
+                low += 1
+            if low:
+                kmax = min(kmax, e // low)
+        lat.check_size((len(atoms) + 1) * (kmax + 1))
+        layers = lat.suffix_layers([at for _, at, _ in atoms], kmax)
+        top = lat.index(lat.e)
+        hits = [k for k, layer in enumerate(layers[0]) if layer >> top & 1]
+        value = k = hits[0] if mode == "min" else hits[-1]  # every member factors
+        # least canonical multiset: at each atom in ascending order, the
+        # smallest positive multiplicity the later atoms can complete, else 0
+        rem, at_rem = x, top
+        witness = []
+        for i, (u, at, _) in enumerate(atoms):
+            if not k:
+                break
+            nxt = layers[i + 1]
+            um = 1
+            for m in range(1, k + 1):
+                um *= u
+                if rem % um:
+                    break
+                if nxt[k - m] >> (at_rem - m * at) & 1:
+                    witness.append((u, m))
+                    rem //= um
+                    at_rem -= m * at
+                    k -= m
+                    break
+        return _factor.ExtremalResult(value, tuple(witness))
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b}

@@ -7,9 +7,11 @@ and e2 + e5 is even, and a member is an atom iff (e2, e5) == (2, 0) or
 e2 == 1 with e5 odd. Everything else in the module is exact search over
 exponent vectors: maximizing the number of distinct atoms in a factorization
 (branch and bound over atom subsets), minimizing or maximizing total
-multiplicity and peak multiplicity (memoized recursion), closed forms for
-the distinct-atom maximum of powers of 28 and of 40, a self-verifying
-factorization family for powers of 70, and growth-series experiments.
+multiplicity and minimizing peak multiplicity (bitset reachability over the
+exponent vectors below x^n, shared with acm), maximizing peak multiplicity
+(one atom power at a time), closed forms for the distinct-atom maximum of
+powers of 28 and of 40, a self-verifying factorization family for powers of
+70, and growth-series experiments.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import factor as _factor
+from .acm import ExponentLattice
 from .errors import (
     BudgetExceededError,
     ConstructionInvalidError,
@@ -262,39 +265,35 @@ def count_good_atoms(x: SmoothElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact extremal multiplicities for powers, by memoized search over the
-# residual exponent vector. Supported: distinct-atom count (p = 0, max),
-# total multiplicity (p = 1, both directions), peak multiplicity (p = inf,
-# both directions).
+# Exact extremal multiplicities for powers. Supported: distinct-atom count
+# (p = 0, max; the branch and bound above), total multiplicity (p = 1, both
+# directions) and peak multiplicity (p = inf, both directions). Total and
+# minimum peak are reachability over the exponent vectors below x^n
+# (acm.ExponentLattice): the sums of exactly k atoms form one bitset per k,
+# and the sums using each atom at most c times one bitset per cap c.
 # ---------------------------------------------------------------------------
 
 
-def _l1_power(x: SmoothElement, n: int, mode: str) -> int:
+def _power_lattice(x: SmoothElement, n: int):
+    """x^n's exponents, their ExponentLattice and the bit index of each atom."""
     e = _power(x, n)
-    atoms = atom_divisors(e)
-    want_min = mode == "min"
-    memo: dict[SmoothElement, int | None] = {}
+    lat = ExponentLattice(e)
+    return e, lat, [lat.index(u) for u in atom_divisors(e)]
 
-    def rec(rem: SmoothElement) -> int | None:
-        if rem == (0, 0, 0):
-            return 0
-        if rem in memo:
-            return memo[rem]
-        best = None
-        for u in atoms:
-            if u.e2 <= rem.e2 and u.e5 <= rem.e5 and u.e7 <= rem.e7:
-                sub = rec(SmoothElement(rem.e2 - u.e2, rem.e5 - u.e5, rem.e7 - u.e7))
-                if sub is not None:
-                    v = sub + 1
-                    if best is None or (v < best if want_min else v > best):
-                        best = v
-        memo[rem] = best
-        return best
 
-    val = rec(e)
-    if val is None:
+def _l1_power(x: SmoothElement, n: int, mode: str) -> int:
+    """Fewest or most atoms whose sum is the exponent vector of x^n."""
+    e, lat, offs = _power_lattice(x, n)
+    top = lat.index(e)
+    best = None
+    for k, layer in enumerate(lat.layers(offs)):  # every atom has e2 >= 1: k <= e2
+        if layer >> top & 1:
+            best = k
+            if mode == "min":
+                break
+    if best is None:
         raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")
-    return val
+    return best
 
 
 def _linf_max_power(x: SmoothElement, n: int) -> int:
@@ -317,43 +316,10 @@ def _linf_max_power(x: SmoothElement, n: int) -> int:
 
 def _linf_min_power(x: SmoothElement, n: int) -> int:
     """Least cap c admitting a factorization with every multiplicity <= c."""
-    e = _power(x, n)
-    atoms = atom_divisors(e)
-    na = len(atoms)
-
-    def feasible(cap: int) -> bool:
-        memo: dict[tuple[int, SmoothElement], bool] = {}
-
-        def rec(i: int, rem: SmoothElement) -> bool:
-            if rem == (0, 0, 0):
-                return True
-            if i == na:
-                return False
-            key = (i, rem)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            ok = rec(i + 1, rem)
-            if not ok:
-                u = atoms[i]
-                for m in range(1, cap + 1):
-                    if u.e2 * m > rem.e2 or u.e5 * m > rem.e5 or u.e7 * m > rem.e7:
-                        break
-                    if rec(
-                        i + 1,
-                        SmoothElement(
-                            rem.e2 - u.e2 * m, rem.e5 - u.e5 * m, rem.e7 - u.e7 * m
-                        ),
-                    ):
-                        ok = True
-                        break
-            memo[key] = ok
-            return ok
-
-        return rec(0, e)
-
+    e, lat, offs = _power_lattice(x, n)
+    top = lat.index(e)
     cap = 1
-    while not feasible(cap):
+    while not lat.capped_reach(offs, cap) >> top & 1:
         cap += 1
         if cap > e.e2:
             raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")

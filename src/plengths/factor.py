@@ -307,7 +307,12 @@ def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
 def _reconstruct(
     gens: tuple[int, ...], tables: list, n: int, p, mode: str
 ) -> tuple[int, ...]:
-    """Lexicographically greatest witness attaining tables[0][n]."""
+    """A witness attaining tables[0][n], built one coordinate at a time.
+
+    Coordinate i takes the largest value whose combination with the
+    optimum of the remainder over the later generators equals the target;
+    the remainder's own optimum, tables[i + 1][m], is the next target.
+    """
     want_min = mode == "min"
     k = len(gens)
     z: list[int] = []
@@ -337,8 +342,13 @@ def _reconstruct(
 def extremal_plength(S: NumericalSemigroup, n: int, p, mode: str) -> ExtremalResult:
     """Exact optimum of the p-length over all factorizations of n, with witness.
 
-    Among optimal factorizations the witness is the lexicographically
-    greatest exponent vector (largest first coordinate, then the next).
+    The witness takes the largest first coordinate of any optimal
+    factorization, then the same rule for the remainder against the
+    remainder's own optimum over the later generators. For finite p that is
+    the lexicographically greatest optimal exponent vector. For p == inf
+    the remainder's optimum can lie inside the bound, and the witness can
+    be a smaller optimal vector: on (5, 7, 9, 11), n = 58, min gives
+    (3, 2, 2, 1) where (3, 3, 0, 2) is also optimal.
     Raises NotInSemigroupError when n has no factorization.
     """
     check_exponent(p)

@@ -1,0 +1,235 @@
+"""Differential tests of the exponent-vector reachability searches.
+
+The memoized recursions below are the searches acm46 used before its bitset
+layers; they are kept here as slow, obvious oracles. Acm.extremal_plength at
+p = 1 is checked against the optimum over the full enumeration, value and
+witness.
+"""
+
+import time
+import tracemalloc
+
+import pytest
+
+from plengths import Acm, BudgetExceededError, NotInMonoidError
+from plengths import acm as acm_mod
+from plengths.acm import ExponentLattice, _prime_powers
+from plengths.acm46 import (
+    SmoothElement,
+    _l1_power,
+    _linf_min_power,
+    _power,
+    atom_divisors,
+    smooth_from_int,
+)
+
+
+def memo_l1_power(x: SmoothElement, n: int, mode: str) -> int:
+    e = _power(x, n)
+    atoms = atom_divisors(e)
+    want_min = mode == "min"
+    memo: dict[SmoothElement, int | None] = {}
+
+    def rec(rem: SmoothElement) -> int | None:
+        if rem == (0, 0, 0):
+            return 0
+        if rem in memo:
+            return memo[rem]
+        best = None
+        for u in atoms:
+            if u.e2 <= rem.e2 and u.e5 <= rem.e5 and u.e7 <= rem.e7:
+                sub = rec(SmoothElement(rem.e2 - u.e2, rem.e5 - u.e5, rem.e7 - u.e7))
+                if sub is not None:
+                    v = sub + 1
+                    if best is None or (v < best if want_min else v > best):
+                        best = v
+        memo[rem] = best
+        return best
+
+    val = rec(e)
+    if val is None:
+        raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")
+    return val
+
+
+def memo_linf_min_power(x: SmoothElement, n: int) -> int:
+    e = _power(x, n)
+    atoms = atom_divisors(e)
+    na = len(atoms)
+
+    def feasible(cap: int) -> bool:
+        memo: dict[tuple[int, SmoothElement], bool] = {}
+
+        def rec(i: int, rem: SmoothElement) -> bool:
+            if rem == (0, 0, 0):
+                return True
+            if i == na:
+                return False
+            key = (i, rem)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            ok = rec(i + 1, rem)
+            if not ok:
+                u = atoms[i]
+                for m in range(1, cap + 1):
+                    if u.e2 * m > rem.e2 or u.e5 * m > rem.e5 or u.e7 * m > rem.e7:
+                        break
+                    if rec(
+                        i + 1,
+                        SmoothElement(
+                            rem.e2 - u.e2 * m, rem.e5 - u.e5 * m, rem.e7 - u.e7 * m
+                        ),
+                    ):
+                        ok = True
+                        break
+            memo[key] = ok
+            return ok
+
+        return rec(0, e)
+
+    cap = 1
+    while not feasible(cap):
+        cap += 1
+        if cap > e.e2:
+            raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")
+    return cap
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except NotInMonoidError as exc:
+        return type(exc)
+
+
+def enumerated_optimum(M: Acm, x: int, mode: str):
+    """First optimum of the total multiplicity in canonical order."""
+    best = best_fz = None
+    for fz in M.factorizations(x):
+        v = sum(m for _, m in fz)
+        if best is None or (v < best if mode == "min" else v > best):
+            best, best_fz = v, fz
+    return best, best_fz
+
+
+# 20 and 98 are no members, but their even powers are: odd n checks the
+# "no factorization" error. The minimum peak of 4^n is n, so its cap grows.
+POWER_BASES = (28, 40, 70, 490, 4, 10, 20, 98)
+MONOIDS = ((4, 6), (1, 4), (6, 6), (1, 3), (3, 6), (1, 10))
+
+
+class TestLattice:
+    def test_sums_never_carry(self):
+        lat = ExponentLattice((2, 0, 3))
+        assert lat.strides == (1, 6, 12)
+        assert lat.nbits == 6 * 2 * 8
+        assert bin(lat.valid).count("1") == 3 * 1 * 4
+        u, v = lat.index((1, 0, 2)), lat.index((1, 0, 1))
+        assert lat.index((2, 0, 3)) == u + v
+        # (1,0,2) + (1,0,2) exceeds e, so the mask drops it
+        assert ((1 << u) << u) & lat.valid == 0
+
+    def test_layers_count_atoms(self):
+        lat = ExponentLattice((4, 0, 2))
+        offs = [lat.index(u) for u in atom_divisors(SmoothElement(4, 0, 2))]
+        layers = list(lat.layers(offs))
+        top = lat.index((4, 0, 2))
+        assert [k for k, layer in enumerate(layers) if layer >> top & 1] == [2]
+        assert len(layers) == 3  # L_3 is empty: every atom has e2 = 2
+
+
+class TestPowerSearchesMatchMemoOracles:
+    @pytest.mark.parametrize("base", POWER_BASES)
+    def test_total_multiplicity(self, base):
+        x = smooth_from_int(base)
+        for n in range(1, 11):
+            for mode in ("min", "max"):
+                assert outcome(_l1_power, x, n, mode) == outcome(memo_l1_power, x, n, mode), (
+                    base, n, mode,
+                )
+
+    @pytest.mark.parametrize("base", POWER_BASES)
+    def test_min_peak(self, base):
+        x = smooth_from_int(base)
+        for n in range(1, 11):
+            assert outcome(_linf_min_power, x, n) == outcome(memo_linf_min_power, x, n), (base, n)
+
+    def test_min_peak_of_four_grows(self):
+        assert [_linf_min_power(smooth_from_int(4), n) for n in range(1, 11)] == list(range(1, 11))
+
+
+class TestLengthMatchesEnumeration:
+    @pytest.mark.parametrize("a,b", MONOIDS)
+    def test_members_below_3000(self, a, b):
+        M = Acm(a, b)
+        for x in range(2, 3000):
+            if not M.contains(x):
+                continue
+            for mode in ("min", "max"):
+                res = M.extremal_plength(x, 1, mode)
+                assert (res.value, res.witness) == enumerated_optimum(M, x, mode), (x, mode)
+
+    @pytest.mark.parametrize("a,b", MONOIDS)
+    def test_unit_and_non_member(self, a, b):
+        M = Acm(a, b)
+        for mode in ("min", "max"):
+            assert M.extremal_plength(1, 1, mode) == (0, ())
+            outsider = next(x for x in range(2, 100) if not M.contains(x))
+            with pytest.raises(NotInMonoidError):
+                M.extremal_plength(outsider, 1, mode)
+
+    def test_power_of_70(self):
+        M = Acm(4, 6)
+        for mode in ("min", "max"):
+            res = M.extremal_plength(70**8, 1, mode)
+            assert (res.value, res.witness) == enumerated_optimum(M, 70**8, mode)
+
+    def test_argument_errors_come_first(self):
+        M = Acm(4, 6)
+        with pytest.raises(ValueError):
+            M.extremal_plength(70, -1, "min")
+        with pytest.raises(ValueError):
+            M.extremal_plength(70, 1, "median")
+        with pytest.raises(ValueError):
+            M.extremal_plength(0, 1, "min")
+
+
+class TestBudgets:
+    def test_reach_size_refused_before_layers_are_built(self):
+        # 70^22: 277 rows of 23 bitsets of 97 336 bits, about 77 MB of layers
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                Acm(4, 6).extremal_plength(70**22, 1, "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < acm_mod.REACH_BYTE_LIMIT // 4
+
+    def test_large_prime_factors_fast(self):
+        p = 100_000_000_000_097  # prime, 1 mod 4, far above the trial limit squared
+        t0 = time.perf_counter()
+        res = Acm(1, 4).extremal_plength(p, 1, "max")
+        assert time.perf_counter() - t0 < 1.0
+        assert res == (1, ((p, 1),))
+        assert _prime_powers(12 * p) == [(2, 2), (3, 1), (p, 1)]
+
+    def test_two_large_primes_refused(self):
+        x = 1_000_003 * 1_000_033  # both prime and above TRIAL_DIVISION_LIMIT
+        assert x > acm_mod.TRIAL_DIVISION_LIMIT**2
+        with pytest.raises(BudgetExceededError):
+            _prime_powers(x)
+        with pytest.raises(BudgetExceededError):
+            Acm(1, 4).extremal_plength(3 * x, 1, "min")
+
+    def test_strong_pseudoprime_to_twelve_bases_refused(self):
+        # composite, and passes Miller-Rabin for every prime base up to 37
+        with pytest.raises(BudgetExceededError):
+            _prime_powers(318_665_857_834_031_151_167_461)
+
+    def test_cofactor_below_limit_squared_is_prime(self):
+        q = 999_983  # largest prime below 10**6
+        assert _prime_powers(q * q) == [(q, 2)]
+        assert _prime_powers(2 * 1_000_003) == [(2, 1), (1_000_003, 1)]

@@ -5,6 +5,7 @@ import pytest
 from plengths import (
     BudgetExceededError,
     NotInSemigroupError,
+    NumericalSemigroup,
     ThresholdNotMetError,
     closed_len_recurrence,
     closed_max_inf,
@@ -118,6 +119,60 @@ class TestExtremal:
                 for z in factorizations(S, n):
                     linf, l1 = plength(z, INF), plength(z, 1)
                     assert linf <= l1 <= k * linf
+
+
+def _vectors(gens: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    if len(gens) == 1:
+        return [(m // gens[0],)] if m % gens[0] == 0 else []
+    return [
+        (z,) + rest
+        for z in range(m // gens[0], -1, -1)
+        for rest in _vectors(gens[1:], m - z * gens[0])
+    ]
+
+
+def _optimum(gens, m, p, mode):
+    vals = [plength(z, p) for z in _vectors(gens, m)]
+    return (min if mode == "min" else max)(vals) if vals else None
+
+
+def _rule_witness(gens, m, p, mode):
+    """Largest coordinate that meets the target with the remainder's optimum,
+    then the remainder's own witness against that optimum."""
+    if len(gens) == 1:
+        return (m // gens[0],)
+    target = _optimum(gens, m, p, mode)
+    for c in range(m // gens[0], -1, -1):
+        sub = _optimum(gens[1:], m - c * gens[0], p, mode)
+        if sub is not None and (max(c, sub) if p == INF else plength((c,), p) + sub) == target:
+            return (c,) + _rule_witness(gens[1:], m - c * gens[0], p, mode)
+    raise AssertionError("no coordinate meets the target")
+
+
+class TestWitnessRule:
+    @pytest.mark.parametrize("gens,top", [((3, 5, 7), 60), ((5, 7, 9, 11), 70)])
+    def test_brute_force(self, gens, top):
+        S = NumericalSemigroup(gens)
+        for n in range(top):
+            zs = _vectors(gens, n)
+            if not zs:
+                continue
+            for p in (0, 1, 2, 3, INF):
+                for mode in ("min", "max"):
+                    w = extremal_plength(S, n, p, mode).witness
+                    assert w == _rule_witness(gens, n, p, mode), (n, p, mode)
+                    if p != INF:
+                        best = _optimum(gens, n, p, mode)
+                        assert w == max(z for z in zs if plength(z, p) == best), (n, p, mode)
+
+    def test_inf_witness_need_not_be_greatest(self):
+        S = NumericalSemigroup((5, 7, 9, 11))
+        for n, mode, got, greatest in ((58, "min", (3, 2, 2, 1), (3, 3, 0, 2)),
+                                       (38, "max", (4, 0, 2, 0), (4, 1, 0, 1))):
+            res = extremal_plength(S, n, INF, mode)
+            assert res.witness == got
+            optimal = [z for z in _vectors(S.generators, n) if plength(z, INF) == res.value]
+            assert max(optimal) == greatest
 
 
 class TestClosedForms:
