@@ -1,13 +1,12 @@
 """Arithmetical congruence monoids: {1} together with one residue class.
 
 M(a, b) is the multiplicative monoid {1} union {x >= 1 : x == a mod b},
-which is closed under multiplication exactly when a^2 == a mod b. Atoms are
-found by divisor search, and factorization sets are enumerated by recursive
-descent over atom divisors in nondecreasing order (so each multiset appears
-once). The extremal total multiplicity (p = 1) is found without enumerating:
-the divisors of x are exponent vectors over its prime support, and
-ExponentLattice keeps sets of them as bitsets, so the sums of exactly k atoms
-form one bitset per k. Other exponents take the optimum over the enumeration.
+which is closed under multiplication exactly when a^2 == a mod b. The
+divisors of x are exponent vectors over its prime support, kept as bitsets
+by ExponentLattice; the atoms dividing x are the members that are no sum of
+two, found with one sumset. Factorizations are enumerated over those atoms in
+nondecreasing order; p = 1 is found without enumerating, from one bitset per
+k of the sums of exactly k atoms. Atoms up to a limit come from one sieve.
 Elements are factored by trial division up to a fixed bound with a primality
 proof for the cofactor left over; an input whose cofactor is composite or
 cannot be proven prime raises BudgetExceededError.
@@ -15,16 +14,15 @@ cannot be proven prime raises BudgetExceededError.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain
-from math import gcd
+from itertools import chain, compress
+from math import gcd, isqrt
 
 from . import factor as _factor
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
 
-# Largest table of bitsets the p = 1 search builds, in bytes.
+# Largest bitset table of the p = 1 search, and largest atom sieve, in bytes.
 REACH_BYTE_LIMIT = 64 << 20
 
 # Trial division stops at this divisor; a cofactor below its square is prime.
@@ -193,12 +191,27 @@ class Acm:
         """No divisor pair d * (x/d) with both factors non-unit members."""
         if x == 1 or not self.contains(x):
             raise NotInMonoidError(f"{x} is not a non-unit element of {self!r}")
-        return _is_atom_cached(self.a, self.b, x)
+        return not any(1 < d < x and d in self and x // d in self for d in _divisors(x))
 
     def atoms_up_to(self, limit: int) -> list[int]:
-        """All atoms <= limit, ascending."""
-        start = self.a if self.a > 1 else self.a + self.b
-        return [x for x in range(start, limit + 1, self.b) if self.is_atom(x)]
+        """All atoms <= limit, ascending: a sieve of one byte per member marks
+        each u * v <= limit for members u <= v. Raises BudgetExceededError
+        before it would exceed REACH_BYTE_LIMIT bytes."""
+        b = self.b
+        start = self.a if self.a > 1 else self.a + b
+        if limit < start:
+            return []
+        count = (limit - start) // b + 1
+        if count > REACH_BYTE_LIMIT:
+            raise BudgetExceededError(
+                f"atom sieve to {limit} needs {count} bytes, more than {REACH_BYTE_LIMIT}"
+            )
+        atom = bytearray(b"\x01") * count
+        # member i is start + i * b; u * (u + j * b) is member (u*u - start) // b + j * u
+        for u in range(start, isqrt(limit) + 1, b):
+            first = (u * u - start) // b
+            atom[first::u] = bytes(len(range(first, count, u)))
+        return list(compress(range(start, limit + 1, b), atom))
 
     def factorizations(self, x: int, cap: int = DEFAULT_ACM_CAP) -> list[AcmFactorization]:
         """All multisets of atoms with product x, each in canonical form.
@@ -210,12 +223,8 @@ class Acm:
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
             return [()]
-        a, b = self.a, self.b
-        atom_divs = [
-            d
-            for d in _divisors(x)
-            if d > 1 and d % b == a % b and _is_atom_cached(a, b, d)
-        ]
+        atom_divs = [u for u, _, _ in self._atom_divisors(x)[2]]
+        atoms = set(atom_divs)
         out: list[AcmFactorization] = []
 
         def rec(rem: int, lo: int, acc: list[int]) -> None:
@@ -228,7 +237,7 @@ class Acm:
                     # the cofactor splits into atoms >= d or is such an atom
                     rec(q, idx, acc + [d])
             if rem >= (acc[-1] if acc else 2) and rem > 1:
-                if (rem % b == a % b) and _is_atom_cached(a, b, rem):
+                if rem in atoms:  # rem divides x
                     mult: list[tuple[int, int]] = []
                     for u in acc + [rem]:
                         if mult and mult[-1][0] == u:
@@ -273,8 +282,9 @@ class Acm:
             raise NotInMonoidError(f"{x} has no factorization in {self!r}")
         return _factor.ExtremalResult(best, best_fz)
 
-    def _extremal_length(self, x: int, mode: str) -> _factor.ExtremalResult:
-        """The p == 1 case of extremal_plength, for a non-unit member x."""
+    def _atom_divisors(self, x: int):
+        """(prime powers of x, its lattice, atoms dividing x ascending as
+        (atom, bit index, number of prime factors)) for a non-unit member x."""
         pps = _prime_powers(x)
         lat = ExponentLattice([e for _, e in pps])
         lat.check_size(2)
@@ -292,7 +302,11 @@ class Acm:
         sums = 0
         for _, at, _ in members:
             sums |= mset << at
-        atoms = sorted(t for t in members if not sums >> t[1] & 1)
+        return pps, lat, sorted(t for t in members if not sums >> t[1] & 1)
+
+    def _extremal_length(self, x: int, mode: str) -> _factor.ExtremalResult:
+        """The p == 1 case of extremal_plength, for a non-unit member x."""
+        pps, lat, atoms = self._atom_divisors(x)
         # k atoms have at least k * min(w) prime factors, and k * v_q(g)
         # factors q for g the gcd of the atoms
         kmax = sum(lat.e) // min(w for _, _, w in atoms)
@@ -341,16 +355,6 @@ class Acm:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
-
-
-@lru_cache(maxsize=None)
-def _is_atom_cached(a: int, b: int, x: int) -> bool:
-    for d in _divisors(x):
-        if d * d > x:
-            break
-        if d > 1 and d % b == a % b and (x // d) % b == a % b:
-            return False
-    return True
 
 
 def factorization_to_json(fz: AcmFactorization) -> list[dict]:

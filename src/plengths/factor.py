@@ -415,8 +415,9 @@ def closed_len_recurrence(S: NumericalSemigroup, n: int, mode: str) -> int:
 
     The minimum length drops by 1 every g_k below n while n stays above
     (g_1 - 1) * g_k; the maximum length drops by 1 every g_1 above
-    (g_{k-1} - 1) * g_k. The unwinding stops early if the next argument
-    would leave the semigroup, then finishes with the exact solver.
+    (g_{k-1} - 1) * g_k. Both exceed the Frobenius number, so the unwinding
+    jumps in O(1) to the last step above the threshold, takes one more step
+    if that stays in the semigroup, then finishes with the exact solver.
     """
     _check_mode(mode)
     gens = S.generators
@@ -431,9 +432,9 @@ def closed_len_recurrence(S: NumericalSemigroup, n: int, mode: str) -> int:
         raise ThresholdNotMetError(f"need n > {threshold}, got {n}")
     if not S.contains(n):
         raise NotInSemigroupError(f"{n} is not in {S!r}")
-    steps = 0
-    m = n
-    while m > threshold and m - step >= 0 and S.contains(m - step):
+    steps = (n - threshold - 1) // step
+    m = n - steps * step
+    if S.contains(m - step):  # m - step <= threshold, and >= 0 as step <= threshold
         m -= step
         steps += 1
     return extremal_plength(S, m, 1, mode).value + steps

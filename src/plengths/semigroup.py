@@ -9,7 +9,6 @@ package assumes generators == atoms.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import gcd
 
@@ -40,10 +39,34 @@ class AperyTable:
         return max(self.entries)
 
 
+def _apery(m: int, gens) -> tuple[int, ...]:
+    """Least element of <gens> in each class mod m, for m in <gens>, in O(k * m).
+
+    Round robin (Boecker and Liptak, "The money changing problem revisited"):
+    generator a joins the classes into gcd(m, a) cycles r -> r + a, and one
+    pass around a cycle from its least entry makes every entry final.
+    """
+    ap: list = [0] + [None] * (m - 1)
+    for a in gens:
+        d = gcd(m, a)
+        for p in range(d):
+            n = min((w for w in ap[p::d] if w is not None), default=None)
+            if n is None:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                r = n % m
+                if ap[r] is not None and ap[r] < n:
+                    n = ap[r]
+                else:
+                    ap[r] = n
+    return tuple(ap)
+
+
 class NumericalSemigroup:
     """The additive monoid generated by a minimal gcd-1 set of integers >= 2."""
 
-    __slots__ = ("generators", "_member", "_lock", "_apery_cache")
+    __slots__ = ("generators", "_ap", "_apery_cache")
 
     def __init__(self, raw_generators):
         gens = sorted(set(int(g) for g in raw_generators))
@@ -63,43 +86,23 @@ class NumericalSemigroup:
         if g != 1:
             raise GcdNotOneError(f"gcd of generators is {g}, not 1")
         self.generators = tuple(gens)
-        # membership table, grown geometrically on demand
-        self._member = bytearray(1)
-        self._member[0] = 1
-        self._lock = threading.Lock()
-        self._apery_cache: dict[int, AperyTable] = {}
+        self._ap = _apery(gens[0], gens)
+        self._apery_cache = {gens[0]: AperyTable(gens[0], self._ap)}
         # x is generated by the others iff x - g lies in S for a smaller
         # generator g: the parts of x - g are all below x
-        self._grow(gens[-1])
         for x in gens:
-            if any(g < x and self._member[x - g] for g in gens):
+            if any(g < x and self.contains(x - g) for g in gens):
                 raise NotMinimalError(f"{x} is generated by the other generators")
 
     @property
     def embedding_dimension(self) -> int:
         return len(self.generators)
 
-    def _grow(self, n: int) -> None:
-        with self._lock:
-            if n < len(self._member):
-                return
-            new_len = max(n + 1, 2 * len(self._member))
-            table = bytearray(new_len)
-            table[: len(self._member)] = self._member
-            for m in range(len(self._member), new_len):
-                for g in self.generators:
-                    if g <= m and table[m - g]:
-                        table[m] = 1
-                        break
-            self._member = table
-
     def contains(self, n: int) -> bool:
-        """Membership by dynamic programming over the generators."""
+        """n is in S iff n >= Ap(S, g_1)[n mod g_1]: O(1) time and memory."""
         if n < 0:
             raise ValueError("membership is defined for n >= 0")
-        if n >= len(self._member):
-            self._grow(n)
-        return bool(self._member[n])
+        return n >= self._ap[n % self.generators[0]]
 
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
@@ -107,22 +110,14 @@ class NumericalSemigroup:
     def apery(self, modulus: int) -> AperyTable:
         """Smallest element of S in each residue class mod modulus.
 
-        The modulus must itself lie in S.
+        The modulus must itself lie in S. Round robin, O(k * modulus).
         """
         if modulus < 1 or not self.contains(modulus):
             raise ModulusNotInSemigroupError(f"{modulus} is not in the semigroup")
         cached = self._apery_cache.get(modulus)
         if cached is not None:
             return cached
-        entries: list[int | None] = [None] * modulus
-        remaining = modulus
-        n = 0
-        while remaining:
-            if entries[n % modulus] is None and self.contains(n):
-                entries[n % modulus] = n
-                remaining -= 1
-            n += 1
-        table = AperyTable(modulus, tuple(entries))  # type: ignore[arg-type]
+        table = AperyTable(modulus, _apery(modulus, self.generators))
         self._apery_cache[modulus] = table
         return table
 

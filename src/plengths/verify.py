@@ -471,12 +471,9 @@ def _sandwich_cases(M: Acm, cfg: RunConfig) -> list[int]:
         return [28, 40, 70]
     if (M.a, M.b) == (1, 4):
         return [441, 225]
-    out = []
-    x = M.a if M.a > 1 else M.a + M.b
-    while len(out) < 2 and x <= M.b * 40:
-        if not M.is_atom(x):
-            out.append(x)
-        x += M.b
+    start = M.a if M.a > 1 else M.a + M.b
+    atoms = set(M.atoms_up_to(M.b * 40))
+    out = [x for x in range(start, M.b * 40 + 1, M.b) if x not in atoms][:2]
     return out or [M.b + M.a]
 
 
@@ -617,8 +614,9 @@ def _check_two_atom_split(M: Acm, cfg: RunConfig):
     def body(details):
         checked = 0
         start = M.a if M.a > 1 else M.a + M.b
+        atoms = set(M.atoms_up_to(limit))
         for x in range(start, limit + 1, M.b):
-            if M.is_atom(x):
+            if x in atoms:
                 continue
             checked += 1
             res = M.extremal_plength(x, 1, "min")

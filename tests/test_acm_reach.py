@@ -3,11 +3,15 @@
 The memoized recursions below are the searches acm46 used before its bitset
 layers; they are kept here as slow, obvious oracles. Acm.extremal_plength at
 p = 1 is checked against the optimum over the full enumeration, value and
-witness.
+witness. The enumeration finds its atoms with the same sumset as p = 1, so it
+is checked in turn against a recursion over all divisors that tests each one
+with the per-element Acm.is_atom, and the atom sieve against trial division.
 """
 
 import time
 import tracemalloc
+from collections import Counter
+from math import isqrt
 
 import pytest
 
@@ -114,6 +118,30 @@ def enumerated_optimum(M: Acm, x: int, mode: str):
     return best, best_fz
 
 
+def brute_factorizations(M: Acm, x: int) -> list:
+    """Canonical multisets of atoms with product x, by recursion over the
+    divisors of x in nondecreasing order, each tested with M.is_atom."""
+    divs = sorted({d for i in range(1, isqrt(x) + 1) if x % i == 0 for d in (i, x // i)})
+    atoms = [d for d in divs if d > 1 and M.contains(d) and M.is_atom(d)]
+
+    def rec(rem: int, lo: int) -> list:
+        if rem == 1:
+            return [()]
+        out = []
+        for i in range(lo, len(atoms)):
+            if rem % atoms[i] == 0:
+                out += [(atoms[i],) + rest for rest in rec(rem // atoms[i], i)]
+        return out
+
+    return sorted(tuple(sorted(Counter(t).items())) for t in rec(x, 0))
+
+
+def trial_division_is_atom(M: Acm, x: int) -> bool:
+    return not any(
+        x % d == 0 and M.contains(d) and M.contains(x // d) for d in range(2, x // 2 + 1)
+    )
+
+
 # 20 and 98 are no members, but their even powers are: odd n checks the
 # "no factorization" error. The minimum peak of 4^n is n, so its cap grows.
 POWER_BASES = (28, 40, 70, 490, 4, 10, 20, 98)
@@ -172,6 +200,21 @@ class TestLengthMatchesEnumeration:
                 assert (res.value, res.witness) == enumerated_optimum(M, x, mode), (x, mode)
 
     @pytest.mark.parametrize("a,b", MONOIDS)
+    def test_enumeration_matches_divisor_recursion(self, a, b):
+        M = Acm(a, b)
+        for x in range(2, 3000):
+            if M.contains(x):
+                assert M.factorizations(x) == brute_factorizations(M, x), x
+
+    @pytest.mark.parametrize("a,b", MONOIDS)
+    def test_atom_sieve_matches_trial_division(self, a, b):
+        M = Acm(a, b)
+        members = [x for x in range(2, 3001) if M.contains(x)]
+        assert M.atoms_up_to(3000) == [x for x in members if trial_division_is_atom(M, x)]
+        assert [x for x in members if M.is_atom(x)] == M.atoms_up_to(3000)
+        assert M.atoms_up_to(members[0] - 1) == []
+
+    @pytest.mark.parametrize("a,b", MONOIDS)
     def test_unit_and_non_member(self, a, b):
         M = Acm(a, b)
         for mode in ("min", "max"):
@@ -207,6 +250,16 @@ class TestBudgets:
         finally:
             tracemalloc.stop()
         assert peak < acm_mod.REACH_BYTE_LIMIT // 4
+
+    def test_atom_sieve_refused_before_it_is_allocated(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                Acm(1, 4).atoms_up_to(10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_large_prime_factors_fast(self):
         p = 100_000_000_000_097  # prime, 1 mod 4, far above the trial limit squared

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -220,6 +221,33 @@ class TestClosedForms:
             for n in range(t_min + 1, t_min + 60):
                 if S.contains(n):
                     assert closed_min_inf(S, n) == extremal_plength(S, n, INF, "min").value
+
+    @pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (6, 9, 20), (5, 7, 9, 11)])
+    def test_len_recurrence_matches_table(self, gens):
+        S = NumericalSemigroup(gens)
+        for mode, threshold in (
+            ("min", (gens[0] - 1) * gens[-1]),
+            ("max", (gens[-2] - 1) * gens[-1]),
+        ):
+            row = extremal_values(S, 3000, 1, mode)
+            for n in range(threshold + 1, 3001):
+                if row[n] is not None:
+                    assert closed_len_recurrence(S, n, mode) == row[n], (n, mode)
+
+    @pytest.mark.parametrize("n", [10**12, 10**100])
+    def test_huge_n_in_constant_memory(self, n):
+        S = NumericalSemigroup((6, 9, 20))
+        tracemalloc.start()
+        try:
+            closed_max_inf(S, n)
+            closed_min_inf(S, n)
+            lengths = [closed_len_recurrence(S, n, mode) for mode in ("min", "max")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # n = 20 * (n // 20), and n = 6 * (n // 6 - 6) + 20 + 20 is longest
+        assert lengths == [n // 20, n // 6 - 4]
 
 
 class TestMin2:

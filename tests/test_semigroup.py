@@ -1,4 +1,9 @@
+import tracemalloc
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plengths import (
     ContainsOneError,
@@ -116,3 +121,62 @@ class TestFrobenius:
             f = S.frobenius()
             assert not S.contains(f)
             assert all(S.contains(n) for n in range(f + 1, f + 100))
+
+
+def brute_apery(ok, m):
+    return tuple(min(n for n in range(j, len(ok), m) if ok[n]) for j in range(m))
+
+
+# Each Apery element mod m is below F + m + 1 <= (g_1 - 1) * g_k + m, so a
+# brute table to LIMIT covers every modulus up to MAX_MODULUS.
+MAX_GEN, MAX_MODULUS = 30, 90
+LIMIT = MAX_GEN * MAX_GEN + MAX_MODULUS
+generator_sets = st.lists(
+    st.integers(min_value=2, max_value=MAX_GEN), min_size=2, max_size=5, unique=True
+).map(sorted)
+
+
+def _gcd_one(gens):
+    g = 0
+    for x in gens:
+        g = gcd(g, x)
+    return g == 1
+
+
+def _minimal(gens):
+    return all(not brute_members([g for g in gens if g != x], x)[x] for x in gens)
+
+
+class TestAgainstBruteMembers:
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets)
+    def test_rejects_exactly_the_non_minimal_sets(self, gens):
+        assume(_gcd_one(gens))
+        if _minimal(gens):
+            assert NumericalSemigroup(gens).generators == tuple(gens)
+        else:
+            with pytest.raises(NotMinimalError):
+                NumericalSemigroup(gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets, st.data())
+    def test_membership_and_apery(self, gens, data):
+        assume(_gcd_one(gens) and _minimal(gens))
+        S = NumericalSemigroup(gens)
+        ok = brute_members(gens, LIMIT)
+        assert [S.contains(n) for n in range(LIMIT + 1)] == ok
+        others = [m for m in range(1, MAX_MODULUS + 1) if ok[m] and m not in gens]
+        for m in data.draw(st.lists(st.sampled_from(others), max_size=4)):
+            assert S.apery(m).entries == brute_apery(ok, m)
+        for m in gens:
+            assert S.apery(m).entries == brute_apery(ok, m)
+
+    def test_large_coprime_pair_in_small_memory(self):
+        tracemalloc.start()
+        try:
+            frobenius = NumericalSemigroup((3001, 3011)).frobenius()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frobenius == 3001 * 3011 - 3001 - 3011 == 9_029_999
+        assert peak < 1 << 20
