@@ -40,7 +40,6 @@ from .quasipoly import (
     SampleWindow,
     qp_detect,
     qp_fit,
-    step_difference,
     verify_qp_attributes,
 )
 from .semigroup import AperyTable, NumericalSemigroup
@@ -85,7 +84,6 @@ __all__ = [
     "plength",
     "qp_detect",
     "qp_fit",
-    "step_difference",
     "verify_acm",
     "verify_qp_attributes",
     "verify_semigroup",

@@ -62,16 +62,6 @@ def plength(z, p) -> int:
     return sum(v**p for v in z)
 
 
-def is_factorization(S: NumericalSemigroup, n: int, z) -> bool:
-    """z is a valid exponent vector for n over the generators of S."""
-    gens = S.generators
-    return (
-        len(z) == len(gens)
-        and all(isinstance(v, int) and v >= 0 for v in z)
-        and sum(v * g for v, g in zip(z, gens)) == n
-    )
-
-
 def factorizations(
     S: NumericalSemigroup, n: int, cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[int, ...]]:

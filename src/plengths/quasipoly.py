@@ -1,11 +1,13 @@
 """Quasipolynomial detection and exact fitting for integer sequences.
 
-A quasipolynomial of degree d and period pi evaluates row (n mod pi) of a
-pi x (d+1) table of rational coefficients as a polynomial in n. A window of
-consecutive samples agrees with such a function exactly when the (d+1)-fold
-pi-step difference of the window vanishes; the coefficients are then
-recovered per residue class by exact rational interpolation and re-verified
-against every sample. No floating point is used anywhere in this module.
+A quasipolynomial of degree d and period pi is a polynomial of degree at
+most d in n on each residue class n mod pi. A window of consecutive samples
+agrees with such a function exactly when the (d+1)-fold pi-step difference
+of the window vanishes (Stanley, Enumerative Combinatorics I, 4.4). Every
+answer here is read off that one table of integer differences: the fitted
+degree is its top nonzero level t <= d, and the leading coefficient of class
+r is the level-t entry at any n = r (mod pi) divided by t! * pi^t, one exact
+Fraction per class. No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from . import factor
+from .acm import _prime_powers
 from .errors import WindowTooShortError
 from .semigroup import NumericalSemigroup
 
@@ -42,60 +46,59 @@ class SampleWindow:
         return self.start + len(self.values) - 1
 
 
-def step_difference(w: SampleWindow, step: int) -> SampleWindow:
-    """Window of f(n + step) - f(n); the start is unchanged, length drops by step."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if len(w) <= step:
-        raise WindowTooShortError(f"window of length {len(w)} with step {step}")
-    vals = w.values
-    return SampleWindow(w.start, tuple(vals[i + step] - vals[i] for i in range(len(vals) - step)))
+def _differences(w: SampleWindow, period: int, depth: int):
+    """Levels 0, 1, ..., depth of the period-step difference table of w.
+
+    Level j holds the j-fold difference f(n + period) - f(n) at n = start,
+    start + 1, ...; it is period entries shorter than level j - 1.
+    """
+    level = w.values
+    yield level
+    for _ in range(depth):
+        if len(level) <= period:
+            raise WindowTooShortError(
+                f"window of length {len(w)} cannot absorb {depth} differences of step {period}"
+            )
+        level = list(map(sub, level[period:], level))
+        yield level
 
 
 def differences_vanish(w: SampleWindow, degree: int, period: int) -> bool:
     """(degree+1)-fold period-step difference of the window is identically zero."""
-    vals = list(w.values)
-    for _ in range(degree + 1):
-        if len(vals) <= period:
-            raise WindowTooShortError(
-                f"window of length {len(w)} cannot absorb {degree + 1} differences of step {period}"
-            )
-        vals = [vals[i + period] - vals[i] for i in range(len(vals) - period)]
-    return all(v == 0 for v in vals)
+    for level in _differences(w, period, degree + 1):
+        pass
+    return not any(level)
 
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """Degree, period, and per-residue coefficient rows c_0 .. c_degree."""
+    """Degree, period, and the leading coefficient of each residue class."""
 
     degree: int
     period: int
-    coefficients: tuple[tuple[Fraction, ...], ...]
+    leading_coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.degree < 0 or self.period < 1:
             raise ValueError("degree >= 0 and period >= 1 required")
-        if len(self.coefficients) != self.period:
-            raise ValueError("one coefficient row per residue class required")
-        if any(len(row) != self.degree + 1 for row in self.coefficients):
-            raise ValueError("each row must list c_0 .. c_degree")
-        if self.degree > 0 and all(row[-1] == 0 for row in self.coefficients):
+        if len(self.leading_coefficients) != self.period:
+            raise ValueError("one leading coefficient per residue class required")
+        if self.degree > 0 and not any(self.leading_coefficients):
             raise ValueError("leading coefficient vanishes in every class")
 
-    def evaluate(self, n: int) -> Fraction:
-        row = self.coefficients[n % self.period]
-        acc = Fraction(0)
-        for c in reversed(row):
-            acc = acc * n + c
-        return acc
 
-    def leading_coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(row[-1] for row in self.coefficients)
+def _read_off(start: int, level, degree: int, period: int) -> QuasiPolynomial:
+    """The quasipolynomial whose top nonzero difference level is `level`.
 
-    def constant_leading(self) -> Fraction | None:
-        """The leading coefficient when it does not depend on the residue."""
-        leads = set(self.leading_coefficients())
-        return leads.pop() if len(leads) == 1 else None
+    On that level each class n = r (mod period) holds degree! * period^degree
+    times its leading coefficient; class r sits at index (r - start) mod period.
+    """
+    k = -start % period
+    head = level[k:period] + level[:k]
+    den = math.factorial(degree) * period**degree
+    # the classes share few distinct values: one Fraction per value, not per class
+    exact = {v: Fraction(v, den) for v in set(head)}
+    return QuasiPolynomial(degree, period, tuple(map(exact.__getitem__, head)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class FitReport:
             qp = self.quasipoly
             out["degree"] = qp.degree
             out["period"] = qp.period
-            out["leading_coefficients"] = [str(c) for c in qp.leading_coefficients()]
+            out["leading_coefficients"] = [str(c) for c in qp.leading_coefficients]
         else:
             out["searched"] = {
                 "degree_max": self.searched_degree,
@@ -133,36 +136,13 @@ class FitReport:
         return out
 
 
-def _interpolate_class(points: list[tuple[int, int]], degree: int) -> list[Fraction]:
-    """Exact coefficients c_0..c_degree of the polynomial through the points."""
-    pts = points[: degree + 1]
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(pts):
-        # Lagrange basis polynomial for xi, accumulated into coeffs.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t] -= c * xj
-                new[t + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for t, c in enumerate(basis):
-            coeffs[t] += scale * c
-    return coeffs
-
-
 def qp_fit(w: SampleWindow, degree: int, period: int) -> FitReport:
     """Fit the window exactly as a quasipolynomial of the given shape.
 
     Succeeds exactly when the (degree+1)-fold period-step difference of the
-    window vanishes. On success the returned quasipolynomial reproduces
-    every window sample and carries the exact degree (trailing zero
-    coefficient columns are trimmed).
+    window vanishes. The fitted degree is then the top difference level
+    <= degree that is not all zero (0 for an all-zero window), so an
+    inflated requested degree is trimmed to the exact one.
     """
     if degree < 0 or period < 1:
         raise ValueError("degree >= 0 and period >= 1 required")
@@ -170,34 +150,21 @@ def qp_fit(w: SampleWindow, degree: int, period: int) -> FitReport:
         raise WindowTooShortError(
             f"need at least {(degree + 2) * period} samples, got {len(w)}"
         )
-    if not differences_vanish(w, degree, period):
+    top, lead = 0, w.values
+    for t, level in enumerate(_differences(w, period, degree + 1)):
+        if any(level):
+            top, lead = t, level
+    if top > degree:
         return FitReport(w.start, len(w), None, degree, period, "difference test nonzero")
-
-    by_class: dict[int, list[tuple[int, int]]] = {}
-    for idx, v in enumerate(w.values):
-        n = w.start + idx
-        by_class.setdefault(n % period, []).append((n, v))
-    rows = [
-        _interpolate_class(by_class[j], degree) if j in by_class else [Fraction(0)] * (degree + 1)
-        for j in range(period)
-    ]
-    actual = 0
-    for t in range(degree, -1, -1):
-        if any(row[t] != 0 for row in rows):
-            actual = t
-            break
-    qp = QuasiPolynomial(actual, period, tuple(tuple(row[: actual + 1]) for row in rows))
-    for idx, v in enumerate(w.values):
-        if qp.evaluate(w.start + idx) != v:
-            raise RuntimeError("exact interpolation failed to reproduce a sample")
-    return FitReport(w.start, len(w), qp)
+    return FitReport(w.start, len(w), _read_off(w.start, lead, top, period))
 
 
 def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
     """Smallest-period fit on the grid, ties broken by smallest degree.
 
-    Returns a negative report after exhausting every (degree, period) with
-    degree <= degree_max and period <= period_max.
+    For each period the window is differenced once more per degree until a
+    level vanishes. Returns a negative report after exhausting every
+    (degree, period) with degree <= degree_max and period <= period_max.
     """
     if degree_max < 0 or period_max < 1:
         raise ValueError("degree_max >= 0 and period_max >= 1 required")
@@ -206,12 +173,23 @@ def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
             f"need at least {(degree_max + 2) * period_max} samples, got {len(w)}"
         )
     for period in range(1, period_max + 1):
-        for degree in range(degree_max + 1):
-            if differences_vanish(w, degree, period):
-                return qp_fit(w, degree, period)
+        for t, level in enumerate(_differences(w, period, degree_max + 1)):
+            if t and not any(level):
+                return FitReport(w.start, len(w), _read_off(w.start, prev, t - 1, period))
+            prev = level
     return FitReport(
         w.start, len(w), None, degree_max, period_max, "grid exhausted"
     )
+
+
+def _period_minimal(w: SampleWindow, degree: int, period: int) -> bool:
+    """No proper divisor of period fits the window at this degree.
+
+    A fit at a proper divisor d is also a fit at every multiple of d, and d
+    divides period / q for some prime q dividing period, so testing those
+    largest proper divisors decides it.
+    """
+    return not any(differences_vanish(w, degree, period // q) for q, _ in _prime_powers(period))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +256,8 @@ def sample_extremal(
     if lo > hi:
         raise ValueError("empty window")
     vals = factor.extremal_values(S, hi, p, mode)[lo : hi + 1]
-    if any(v is None for v in vals):
-        bad = lo + next(i for i, v in enumerate(vals) if v is None)
+    if None in vals:
+        bad = lo + vals.index(None)
         raise ValueError(f"window touches {bad}, which is outside the semigroup")
     return SampleWindow(lo, tuple(vals))
 
@@ -322,10 +300,6 @@ class RowReport:
         return out
 
 
-def _proper_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n) if n % d == 0]
-
-
 def verify_qp_attributes(
     S: NumericalSemigroup, window: tuple[int, int] | None = None
 ) -> list[RowReport]:
@@ -358,10 +332,8 @@ def verify_qp_attributes(
             continue
         qp = rep.quasipoly
         degree_ok = qp.degree == row.degree
-        minimal = not any(
-            differences_vanish(w, row.degree, d) for d in _proper_divisors(row.period)
-        )
-        leads = qp.leading_coefficients()
+        minimal = _period_minimal(w, row.degree, row.period)
+        leads = qp.leading_coefficients
         # pad to the requested degree when trimming reduced it
         if qp.degree < row.degree:
             leads = tuple(Fraction(0) for _ in leads)

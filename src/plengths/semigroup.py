@@ -94,10 +94,6 @@ class NumericalSemigroup:
             if any(g < x and self.contains(x - g) for g in gens):
                 raise NotMinimalError(f"{x} is generated by the other generators")
 
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.generators)
-
     def contains(self, n: int) -> bool:
         """n is in S iff n >= Ap(S, g_1)[n mod g_1]: O(1) time and memory."""
         if n < 0:

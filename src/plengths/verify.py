@@ -46,7 +46,6 @@ class RunConfig:
 
     sweep: int = 200            # n beyond each threshold for windowed sweeps
     budget: int = 10_000_000    # factorization enumeration cap
-    node_budget: int = 5_000_000
     d_max: int = 4              # detection grid bounds
     pi_max: int = 60
     samples: int = 50           # sampled shift-invariance checks
@@ -67,11 +66,13 @@ class RunConfig:
             if not isinstance(data, dict):
                 raise ValueError(f"{config_path}: config must be a JSON object")
             values.update(data)
-        for name in defaults:
-            var = ENV_PREFIX + name.upper()
-            env = os.environ.get(var)
-            if env is None:
+        env_names = {ENV_PREFIX + name.upper(): name for name in defaults}
+        for var, env in os.environ.items():
+            if not var.startswith(ENV_PREFIX):
                 continue
+            if var not in env_names:
+                raise ValueError(f"unknown config variable: {var}")
+            name = env_names[var]
             try:
                 if name == "window":
                     lo, hi = env.split(":")
@@ -100,8 +101,8 @@ class RunConfig:
                 raise ValueError(f"window needs 0 <= start <= end, not {window!r}")
             values["window"] = tuple(window)
         cfg = RunConfig(**values)
-        if cfg.budget < 1 or cfg.node_budget < 1:
-            raise ValueError("budgets must be >= 1")
+        if cfg.budget < 1:
+            raise ValueError("budget must be >= 1")
         return cfg
 
 
@@ -326,10 +327,10 @@ def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig):
             expected = Fraction(1, g1**p)
             if not rep.fitted or rep.quasipoly.degree != p:
                 return {"p": p, "fitted": rep.fitted}
-            if any(c != expected for c in rep.quasipoly.leading_coefficients()):
+            if any(c != expected for c in rep.quasipoly.leading_coefficients):
                 return {
                     "p": p,
-                    "leading": [str(c) for c in rep.quasipoly.leading_coefficients()],
+                    "leading": [str(c) for c in rep.quasipoly.leading_coefficients],
                     "expected": str(expected),
                 }
         details.update(checked=2)
@@ -541,7 +542,7 @@ def _check_closed_support(M: Acm, cfg: RunConfig, base: int):
 
     def body(details):
         for n in range(lo, hi + 1):
-            exact = acm46.ell0_max_exact(x, n, cfg.node_budget)
+            exact = acm46.ell0_max_exact(x, n)
             if closed(n) != exact:
                 return {"n": n, "closed": closed(n), "exact": exact}
         details.update(checked=hi - lo + 1)
@@ -612,16 +613,25 @@ def _check_two_atom_split(M: Acm, cfg: RunConfig):
     limit = cfg.m66_limit
 
     def body(details):
+        atoms = M.atoms_up_to(limit)
+        pairs = set()
+        for i, u in enumerate(atoms):
+            if u * u > limit:
+                break
+            for v in atoms[i:]:
+                if u * v > limit:
+                    break
+                pairs.add(u * v)
         checked = 0
         start = M.a if M.a > 1 else M.a + M.b
-        atoms = set(M.atoms_up_to(limit))
+        is_atom = set(atoms)
         for x in range(start, limit + 1, M.b):
-            if x in atoms:
+            if x in is_atom:
                 continue
             checked += 1
-            res = M.extremal_plength(x, 1, "min")
-            if res.value > 2:
-                return {"x": x, "l1_min": res.value}
+            # a member that is neither an atom nor a product of two needs three or more
+            if x not in pairs:
+                return {"x": x, "l1_min": M.extremal_plength(x, 1, "min").value}
         details.update(checked=checked)
         return None
 

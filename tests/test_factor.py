@@ -18,9 +18,18 @@ from plengths import (
     min2_shift_check,
     plength,
 )
-from plengths.factor import is_factorization
 
 INF = math.inf
+
+
+def is_factorization(S: NumericalSemigroup, n: int, z) -> bool:
+    """z is a valid exponent vector for n over the generators of S."""
+    gens = S.generators
+    return (
+        len(z) == len(gens)
+        and all(isinstance(v, int) and v >= 0 for v in z)
+        and sum(v * g for v, g in zip(z, gens)) == n
+    )
 
 
 class TestPlength:

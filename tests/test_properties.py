@@ -3,6 +3,7 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qp_oracle import lagrange_fit, reproduces
 
 from plengths import (
     NumericalSemigroup,
@@ -89,8 +90,9 @@ def test_detect_recovers_generated_quasipolynomial(degree, period, data):
     rep = qp_detect(w, 2, 6)
     assert rep.fitted
     qp = rep.quasipoly
-    for n in range(length):
-        assert qp.evaluate(n) == vals[n]
+    rows = lagrange_fit(w, qp.degree, qp.period)
+    assert reproduces(w, rows)
+    assert qp.leading_coefficients == tuple(row[-1] for row in rows)
     # the reported period is minimal: it divides the generating one or,
     # when smaller, every other fitting period is one of its multiples
     assert period % qp.period == 0

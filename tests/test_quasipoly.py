@@ -2,34 +2,38 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from qp_oracle import lagrange_fit, reproduces
 
 from plengths import (
+    NumericalSemigroup,
     SampleWindow,
     WindowTooShortError,
     qp_detect,
     qp_fit,
-    step_difference,
     verify_qp_attributes,
 )
-from plengths.quasipoly import differences_vanish, sample_extremal
+from plengths.quasipoly import (
+    _period_minimal,
+    differences_vanish,
+    expected_rows,
+    qp_threshold,
+    sample_extremal,
+)
 
 INF = math.inf
 
 
-class TestStepDifference:
-    def test_squares_step_one(self):
-        w = SampleWindow(0, (0, 1, 4, 9, 16))
-        assert step_difference(w, 1).values == (1, 3, 5, 7)
+def step(values, period):
+    return [b - a for a, b in zip(values, values[period:])]
 
-    def test_squares_step_two(self):
-        w = SampleWindow(0, (0, 1, 4, 9, 16))
-        d = step_difference(w, 2)
-        assert d.values == (4, 8, 12)
-        assert d.start == 0
 
-    def test_too_short(self):
-        with pytest.raises(WindowTooShortError):
-            step_difference(SampleWindow(0, (1, 2, 3)), 5)
+def oracle_leading(w, degree, period):
+    """Exact degree and per-class leading coefficients by interpolation."""
+    rows = lagrange_fit(w, degree, period)
+    assert reproduces(w, rows)
+    return len(rows[0]) - 1, tuple(row[-1] for row in rows)
 
 
 class TestQpFit:
@@ -39,23 +43,29 @@ class TestQpFit:
         assert rep.fitted
         qp = rep.quasipoly
         assert qp.degree == 2 and qp.period == 1
-        assert qp.constant_leading() == 1
+        assert qp.leading_coefficients == (1,)
 
     def test_min_square_length(self, semigroups):
         w = sample_extremal(semigroups[(2, 3)], 2, "min", 200, 260)
         rep = qp_fit(w, 2, 13)
         assert rep.fitted
-        assert rep.quasipoly.constant_leading() == Fraction(1, 13)
+        assert rep.quasipoly.leading_coefficients == (Fraction(1, 13),) * 13
 
     def test_min_ordinary_length(self, semigroups):
         w = sample_extremal(semigroups[(2, 3)], 1, "min", 10, 40)
         rep = qp_fit(w, 1, 3)
         assert rep.fitted
-        assert rep.quasipoly.constant_leading() == Fraction(1, 3)
+        assert rep.quasipoly.leading_coefficients == (Fraction(1, 3),) * 3
 
     def test_rejects_short_window(self):
         with pytest.raises(WindowTooShortError):
             qp_fit(SampleWindow(0, (1, 2, 3, 4)), 2, 2)
+
+    def test_differences_too_short(self):
+        with pytest.raises(WindowTooShortError):
+            differences_vanish(SampleWindow(0, (1, 2, 3)), 0, 5)
+        with pytest.raises(WindowTooShortError):
+            differences_vanish(SampleWindow(0, (1, 2, 3, 4, 5)), 1, 3)
 
     def test_negative_when_not_polynomial(self):
         w = SampleWindow(0, tuple(2**n for n in range(12)))
@@ -71,8 +81,8 @@ class TestQpFit:
         w = sample_extremal(semigroups[(3, 5, 7)], INF, "min", 230, 320)
         rep = qp_fit(w, 1, 15)
         assert rep.fitted
-        for i, v in enumerate(w.values):
-            assert rep.quasipoly.evaluate(w.start + i) == v
+        qp = rep.quasipoly
+        assert (qp.degree, qp.leading_coefficients) == oracle_leading(w, 1, 15)
 
 
 class TestQpDetect:
@@ -119,10 +129,10 @@ class TestQpDetect:
         coefficient c leaves the constant c * d! * period^d."""
         w = sample_extremal(semigroups[(2, 3)], 2, "min", 200, 280)
         rep = qp_fit(w, 2, 13)
-        c = rep.quasipoly.constant_leading()
+        (c,) = set(rep.quasipoly.leading_coefficients)
         expect = c * 2 * 13**2
-        d = step_difference(step_difference(w, 13), 13)
-        assert all(v == expect for v in d.values)
+        d = step(step(w.values, 13), 13)
+        assert all(v == expect for v in d)
 
 
 class TestAttributeTable:
@@ -142,3 +152,65 @@ class TestAttributeTable:
     def test_window_must_clear_threshold(self, semigroups):
         with pytest.raises(ValueError):
             verify_qp_attributes(semigroups[(2, 3)], (10, 600))
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (6, 9, 20), (5, 7, 9, 11), (4, 6, 9)])
+def test_fit_matches_interpolation_on_every_row(gens):
+    """Degree and leading coefficients read off the difference table equal
+    exact interpolation on each predicted row's default window, and the
+    interpolated quasipolynomial reproduces every sample."""
+    S = NumericalSemigroup(gens)
+    thr = qp_threshold(S)
+    for row in expected_rows(S):
+        lo = thr + 1 + row.period
+        w = sample_extremal(S, row.p, row.mode, lo, lo + (row.degree + 2) * row.period - 1)
+        qp = qp_fit(w, row.degree, row.period).quasipoly
+        got = (qp.degree, qp.leading_coefficients)
+        assert got == oracle_leading(w, row.degree, row.period), row.name
+
+
+def _window(data, period, degree, length):
+    """Samples of sum_t c_t(n mod period) * C(n, t) on a window, with one
+    sample perturbed half of the time so that some windows fit nothing."""
+    rows = [
+        [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(degree + 1)]
+        for _ in range(period)
+    ]
+    start = data.draw(st.integers(min_value=0, max_value=20))
+    vals = [
+        sum(c * math.comb(n, t) for t, c in enumerate(rows[n % period]))
+        for n in range(start, start + length)
+    ]
+    if data.draw(st.booleans()):
+        vals[data.draw(st.integers(min_value=0, max_value=length - 1))] += 1
+    return SampleWindow(start, tuple(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2), st.data())
+def test_detect_equals_grid_scan(period, degree, data):
+    """Incremental detection equals a from-scratch scan of the grid with
+    differences_vanish, smallest period first, then smallest degree."""
+    w = _window(data, period, degree, data.draw(st.integers(min_value=24, max_value=40)))
+    rep = qp_detect(w, 2, 6)
+    scan = next(
+        ((d, p) for p in range(1, 7) for d in range(3) if differences_vanish(w, d, p)), None
+    )
+    if scan is None:
+        assert not rep.fitted
+    else:
+        qp = rep.quasipoly
+        assert (qp.degree, qp.period) == scan
+        assert (qp.degree, qp.leading_coefficients) == oracle_leading(w, *scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([12, 36]), st.integers(min_value=0, max_value=2), st.data())
+def test_period_minimal_at_maximal_divisors(period, degree, data):
+    """Testing period / q for each prime q | period decides minimality
+    exactly as testing every proper divisor does."""
+    true_period = data.draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    extra = data.draw(st.integers(min_value=0, max_value=period))
+    w = _window(data, true_period, degree, (degree + 2) * period + extra)
+    every = not any(differences_vanish(w, degree, d) for d in range(1, period) if period % d == 0)
+    assert _period_minimal(w, degree, period) == every

@@ -23,6 +23,8 @@ VERIFY_CLAIM_IDS = {
     "ns verify --gens 2,3 --seed 0":
         SEMIGROUP_CLAIM_IDS | {"l3min-floor-formula", "l3min-not-quasipolynomial"},
     "ns verify --gens 3,5,7 --seed 0": SEMIGROUP_CLAIM_IDS,
+    "ns verify --gens 6,9,20 --seed 0": SEMIGROUP_CLAIM_IDS,
+    "ns verify --gens 5,7,9,11 --seed 0": SEMIGROUP_CLAIM_IDS,
     "acm verify --a 4 --b 6": {
         "power-sandwich", "smooth-classifier", "max-support-closed-28",
         "max-support-closed-40", "construction-70", "good-atom-lower-bound",
@@ -191,6 +193,15 @@ class TestCli:
         for data in ({"jobs": 2}, {"sweep": "200"}):
             path.write_text(json.dumps(data))
             assert self.run(capsys, "ns", "verify", "--gens", "2,3", "--config", str(path))[0] == 2
+
+    def test_node_budget_is_unknown_exit_2(self, capsys, tmp_path, monkeypatch):
+        argv = ["ns", "verify", "--gens", "2,3"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"node_budget": 5}))
+        assert self.run(capsys, *argv, "--config", str(path))[0] == 2
+        monkeypatch.setenv("PLENGTHS_NODE_BUDGET", "5")
+        assert main(argv) == 2
+        assert "PLENGTHS_NODE_BUDGET" in capsys.readouterr().err
 
     def test_window_not_a_pair_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
