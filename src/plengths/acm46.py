@@ -17,7 +17,6 @@ powers of 28 and of 40, a self-verifying factorization family for powers of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import factor as _factor
@@ -348,8 +347,7 @@ def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
     raise ValueError("supported exponents for powers are 0, 1 and inf")
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(NamedTuple):
     """Exact values of one extremal functional on x^1 .. x^n_max, with a fit.
 
     The fitted exponent is the least-squares slope of log(value) against

@@ -50,14 +50,21 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad window (want LO:HI): {text!r}")
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
-    sub.add_argument("--out", default=None, help="write output to this file")
-    sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--window", type=_parse_window, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--timing", action="store_true", help="include timing in reports")
+def _family_flags(subject: dict) -> argparse.ArgumentParser:
+    """Parent parser of one command family: its required subject flags, then
+    the flags every command takes. Each command gets these through parents=,
+    so they are built once per family rather than once per command."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kind in subject.items():
+        parent.add_argument(flag, type=kind, required=True)
+    parent.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
+    parent.add_argument("--out", default=None, help="write output to this file")
+    parent.add_argument("--config", default=None, help="JSON config file")
+    parent.add_argument("--budget", type=int, default=None)
+    parent.add_argument("--window", type=_parse_window, default=None)
+    parent.add_argument("--seed", type=int, default=None)
+    parent.add_argument("--timing", action="store_true", help="include timing in reports")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,10 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ns = top.add_parser("ns", help="numerical semigroup commands")
     nssub = ns.add_subparsers(dest="command", required=True)
+    ns_flags = [_family_flags({"--gens": _parse_gens})]
     for name in ("apery", "frobenius", "factorizations", "plength", "verify", "qp-table"):
-        sub = nssub.add_parser(name)
-        sub.add_argument("--gens", type=_parse_gens, required=True)
-        _common_flags(sub)
+        sub = nssub.add_parser(name, parents=ns_flags)
         if name == "apery":
             sub.add_argument("--modulus", type=int, required=True)
         if name == "factorizations":
@@ -84,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     acm = top.add_parser("acm", help="congruence monoid commands")
     acmsub = acm.add_subparsers(dest="command", required=True)
+    acm_flags = [_family_flags({"--a": int, "--b": int})]
     for name in ("atoms", "factorizations", "plength", "verify", "growth"):
-        sub = acmsub.add_parser(name)
-        sub.add_argument("--a", type=int, required=True)
-        sub.add_argument("--b", type=int, required=True)
-        _common_flags(sub)
+        sub = acmsub.add_parser(name, parents=acm_flags)
         if name == "atoms":
             sub.add_argument("--limit", type=int, required=True)
         if name in ("factorizations", "plength"):

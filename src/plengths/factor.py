@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from math import gcd, isqrt
 from operator import add
 from typing import NamedTuple
@@ -29,6 +30,10 @@ from .semigroup import NumericalSemigroup
 INF = math.inf
 
 DEFAULT_ENUM_CAP = 10_000_000
+
+# Largest table a query may build: 8 bytes per list slot per row, plus the
+# coordinates p >= 2 min stores (the int objects of the values not counted).
+TABLE_BYTE_LIMIT = 1 << 30
 
 _MODES = ("min", "max")
 
@@ -111,7 +116,8 @@ def factorizations(
 #                 over the class up to m and f its first feasible amount
 #   p >= 2 min    z ** p is convex, so along a residue class the candidates
 #                 cost(j - t) + next[t] form a Monge matrix whose leftmost
-#                 argmin is monotone in j: divide and conquer over rows
+#                 argmin is monotone in j: divide and conquer over rows;
+#                 each cell also keeps its z = j - t for witnesses
 #   otherwise     (p == inf min, p >= 2 max) a scan over z; for inf min it
 #                 stops once z reaches the best value found
 #
@@ -151,6 +157,11 @@ def _coord_cost(z: int, p) -> int:
 def _better(v, best, want_min: bool) -> bool:
     """v improves on best, where None (infeasible) loses to everything."""
     return v is not None and (best is None or (v < best if want_min else v > best))
+
+
+def _stores_coords(p, mode: str) -> bool:
+    """The fill keeps each cell's witness coordinate in the row's state."""
+    return mode == "min" and p != INF and p >= 2
 
 
 def _fill_row(row: list, nxt: list, g: int, lo: int, hi: int, p, want_min: bool, state):
@@ -225,11 +236,14 @@ def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, costs: list
     With b[t] = nxt[r + t*g], best(r + j*g) = min over t <= j of
     costs[j - t] + b[t]. An infeasible b[t] becomes `big`, above every finite
     candidate, so the matrix stays Monge and its leftmost argmin stays
-    monotone in j. state[r] is that argmin at the last amount filled in
-    class r, a lower bound on the argmin of every later amount.
+    monotone in j. The state is (argmin, argz): argmin[r] is that argmin at
+    the last amount filled in class r, a lower bound on the argmin of every
+    later amount, and argz[m] is the largest optimal z = j - t at m = r + j*g,
+    t the leftmost argmin: the coordinate a witness takes there.
     """
     big = costs[-1] + max((v for v in nxt[: hi + 1] if v is not None), default=0) + 1
-    argmin = state or [0] * g
+    argmin, argz = state or ([0] * g, array("l"))
+    argz.frombytes(bytes((hi + 1 - lo) * argz.itemsize))
     for r in range(min(g, hi + 1)):
         j0, j1 = max(0, -((r - lo) // g)), (hi - r) // g
         if j0 > j1:
@@ -244,13 +258,14 @@ def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, costs: list
             best = min(cand)
             t = tl + cand.index(best)
             row[r + j * g] = best if best < big else None
+            argz[r + j * g] = j - t
             if j == j1:
                 argmin[r] = t
             if jl < j:
                 pending.append((jl, j - 1, tl, t))
             if j < jh:
                 pending.append((j + 1, jh, t, th))
-    return argmin
+    return argmin, argz
 
 
 def _extend(ts: _TableSet, size: int, p, mode: str) -> None:
@@ -268,23 +283,40 @@ def _extend(ts: _TableSet, size: int, p, mode: str) -> None:
     ts.size = size
 
 
-def _tables(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
+def _table_set(S: NumericalSemigroup, n_max: int, p, mode: str) -> _TableSet:
+    """The cached tables of (S, p, mode), grown to cover amounts 0..n_max.
+
+    Raises BudgetExceededError, before allocating, when tables reaching
+    n_max would take more than TABLE_BYTE_LIMIT bytes.
+    """
     key = (S.generators, p, mode)
     with _TABLE_LOCK:
         ts = _TABLE_CACHE.get(key)
+        if ts is not None and ts.size >= n_max:
+            return ts
+        k = len(S.generators)
+        per_amount = 8 * k + _stores_coords(p, mode) * (k - 1) * array("l").itemsize
+        cap = TABLE_BYTE_LIMIT // per_amount - 1
+        if n_max > cap:
+            raise BudgetExceededError(
+                f"tables up to {n_max} would take {(n_max + 1) * per_amount} bytes,"
+                f" over the limit of {TABLE_BYTE_LIMIT}"
+            )
         if ts is None:
             ts = _TABLE_CACHE[key] = _TableSet(S.generators)
             size = n_max
-        elif ts.size >= n_max:
-            return ts.rows
         else:
-            size = max(n_max, ts.size + ts.size // 2)
+            size = min(cap, max(n_max, ts.size + ts.size // 2))
         try:
             _extend(ts, size, p, mode)
         except BaseException:
             del _TABLE_CACHE[key]  # a half-extended table must not be reused
             raise
-        return ts.rows
+        return ts
+
+
+def _tables(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
+    return _table_set(S, n_max, p, mode).rows
 
 
 def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
@@ -294,37 +326,39 @@ def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
     return _tables(S, n_max, p, mode)[0][: n_max + 1]
 
 
-def _reconstruct(
-    gens: tuple[int, ...], tables: list, n: int, p, mode: str
-) -> tuple[int, ...]:
-    """A witness attaining tables[0][n], built one coordinate at a time.
+def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
+    """A witness attaining ts.rows[0][n], built one coordinate at a time.
 
     Coordinate i takes the largest value whose combination with the
     optimum of the remainder over the later generators equals the target;
-    the remainder's own optimum, tables[i + 1][m], is the next target.
+    the remainder's own optimum, ts.rows[i + 1][m], is the next target.
+    Where the fill stored that value in the row's state it is read.
     """
-    want_min = mode == "min"
-    k = len(gens)
+    gens, tables = ts.gens, ts.rows
+    stored = _stores_coords(p, mode)
     z: list[int] = []
     m = n
-    for i in range(k - 1):
+    for i in range(len(gens) - 1):
         g = gens[i]
-        target = tables[i][m]
-        nxt = tables[i + 1]
-        for cand in range(m // g, -1, -1):
-            sub = nxt[m - cand * g]
-            if sub is None:
-                continue
-            if p == INF:
-                v = sub if sub > cand else cand
-            else:
-                v = _coord_cost(cand, p) + sub
-            if v == target:
-                z.append(cand)
-                m -= cand * g
-                break
-        else:  # pragma: no cover - tables are internally consistent
-            raise RuntimeError("witness reconstruction failed")
+        if stored:
+            cand = ts.states[i][1][m]
+        else:
+            target = tables[i][m]
+            nxt = tables[i + 1]
+            for cand in range(m // g, -1, -1):
+                sub = nxt[m - cand * g]
+                if sub is None:
+                    continue
+                if p == INF:
+                    v = sub if sub > cand else cand
+                else:
+                    v = _coord_cost(cand, p) + sub
+                if v == target:
+                    break
+            else:  # pragma: no cover - tables are internally consistent
+                raise RuntimeError("witness reconstruction failed")
+        z.append(cand)
+        m -= cand * g
     z.append(m // gens[-1])
     return tuple(z)
 
@@ -345,12 +379,11 @@ def extremal_plength(S: NumericalSemigroup, n: int, p, mode: str) -> ExtremalRes
     _check_mode(mode)
     if n < 0:
         raise ValueError("n must be >= 0")
-    tables = _tables(S, n, p, mode)
-    value = tables[0][n]
+    ts = _table_set(S, n, p, mode)
+    value = ts.rows[0][n]
     if value is None:
         raise NotInSemigroupError(f"{n} is not in {S!r}")
-    witness = _reconstruct(S.generators, tables, n, p, mode)
-    return ExtremalResult(value, witness)
+    return ExtremalResult(value, _reconstruct(ts, n, p, mode))
 
 
 def result_to_json(n: int, p, mode: str, res: ExtremalResult) -> dict:

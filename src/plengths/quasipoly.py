@@ -13,10 +13,9 @@ Fraction per class. No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import sub
+from typing import NamedTuple
 
 from . import factor
 from .acm import _prime_powers
@@ -24,18 +23,18 @@ from .errors import WindowTooShortError
 from .semigroup import NumericalSemigroup
 
 
-@dataclass(frozen=True)
 class SampleWindow:
     """Values f(start), f(start+1), ... on a contiguous integer range."""
 
-    start: int
-    values: tuple[int, ...]
+    __slots__ = ("start", "values")
 
-    def __post_init__(self):
-        if self.start < 0:
+    def __init__(self, start: int, values: tuple[int, ...]) -> None:
+        if start < 0:
             raise ValueError("window start must be >= 0")
-        if not self.values:
+        if not values:
             raise ValueError("window must be nonempty")
+        self.start = start
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -70,21 +69,21 @@ def differences_vanish(w: SampleWindow, degree: int, period: int) -> bool:
     return not any(level)
 
 
-@dataclass(frozen=True)
 class QuasiPolynomial:
     """Degree, period, and the leading coefficient of each residue class."""
 
-    degree: int
-    period: int
-    leading_coefficients: tuple[Fraction, ...]
+    __slots__ = ("degree", "period", "leading_coefficients")
 
-    def __post_init__(self):
-        if self.degree < 0 or self.period < 1:
+    def __init__(self, degree: int, period: int, leading_coefficients: tuple) -> None:
+        if degree < 0 or period < 1:
             raise ValueError("degree >= 0 and period >= 1 required")
-        if len(self.leading_coefficients) != self.period:
+        if len(leading_coefficients) != period:
             raise ValueError("one leading coefficient per residue class required")
-        if self.degree > 0 and not any(self.leading_coefficients):
+        if degree > 0 and not any(leading_coefficients):
             raise ValueError("leading coefficient vanishes in every class")
+        self.degree = degree
+        self.period = period
+        self.leading_coefficients = leading_coefficients
 
 
 def _read_off(start: int, level, degree: int, period: int) -> QuasiPolynomial:
@@ -93,6 +92,7 @@ def _read_off(start: int, level, degree: int, period: int) -> QuasiPolynomial:
     On that level each class n = r (mod period) holds degree! * period^degree
     times its leading coefficient; class r sits at index (r - start) mod period.
     """
+    from fractions import Fraction
     k = -start % period
     head = level[k:period] + level[:k]
     den = math.factorial(degree) * period**degree
@@ -101,8 +101,15 @@ def _read_off(start: int, level, degree: int, period: int) -> QuasiPolynomial:
     return QuasiPolynomial(degree, period, tuple(map(exact.__getitem__, head)))
 
 
-@dataclass(frozen=True)
-class FitReport:
+def _fraction_strings(values) -> list[str]:
+    """[str(c) for c in values], printing each distinct object once: classes
+    share the Fractions _read_off builds, and hashing one costs more than str."""
+    ids = list(map(id, values))
+    text = {i: str(c) for i, c in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
+
+
+class FitReport(NamedTuple):
     """Outcome of a fit or detection attempt over one sample window."""
 
     window_start: int
@@ -125,7 +132,7 @@ class FitReport:
             qp = self.quasipoly
             out["degree"] = qp.degree
             out["period"] = qp.period
-            out["leading_coefficients"] = [str(c) for c in qp.leading_coefficients]
+            out["leading_coefficients"] = _fraction_strings(qp.leading_coefficients)
         else:
             out["searched"] = {
                 "degree_max": self.searched_degree,
@@ -198,8 +205,7 @@ def _period_minimal(w: SampleWindow, degree: int, period: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QpRow:
+class QpRow(NamedTuple):
     """Predicted shape of one extremal length functional of S."""
 
     name: str
@@ -222,6 +228,7 @@ def expected_rows(S: NumericalSemigroup) -> tuple[QpRow, ...]:
     p >= 1 the p-length has degree p, period g_1 and leading 1/g_1^p, and
     the max-coordinate length is linear with period and leading 1/g_1.
     """
+    from fractions import Fraction
     gens = S.generators
     k = len(gens)
     g1, gk = gens[0], gens[-1]
@@ -262,8 +269,7 @@ def sample_extremal(
     return SampleWindow(lo, tuple(vals))
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     """Verification outcome for one predicted row."""
 
     row: QpRow
@@ -290,7 +296,7 @@ class RowReport:
             "expected_leading": None if self.row.leading is None else str(self.row.leading),
             "fitted_leading": None
             if self.fitted_leading is None
-            else [str(c) for c in self.fitted_leading],
+            else _fraction_strings(self.fitted_leading),
             "window": {"start": self.window_start, "length": self.window_length},
             "threshold": self.threshold,
             "passed": self.passed,
@@ -311,6 +317,7 @@ def verify_qp_attributes(
     fits (the period is minimal), and the leading coefficient equals the
     predicted rational in every residue class.
     """
+    from fractions import Fraction
     thr = qp_threshold(S)
     reports = []
     for row in expected_rows(S):
@@ -336,7 +343,7 @@ def verify_qp_attributes(
         leads = qp.leading_coefficients
         # pad to the requested degree when trimming reduced it
         if qp.degree < row.degree:
-            leads = tuple(Fraction(0) for _ in leads)
+            leads = (Fraction(0),) * len(leads)
         leading_ok = row.leading is None or all(c == row.leading for c in leads)
         reports.append(
             RowReport(row, lo, len(w), True, degree_ok, minimal, leading_ok, leads, thr)

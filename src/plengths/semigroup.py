@@ -9,7 +9,6 @@ package assumes generators == atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -21,7 +20,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class AperyTable:
     """Least semigroup element in each residue class for a modulus in S.
 
@@ -29,8 +27,11 @@ class AperyTable:
     entries[0] == 0 and entries[j] - modulus is never in S.
     """
 
-    modulus: int
-    entries: tuple[int, ...]
+    __slots__ = ("modulus", "entries")
+
+    def __init__(self, modulus: int, entries: tuple[int, ...]) -> None:
+        self.modulus = modulus
+        self.entries = entries
 
     def __len__(self) -> int:
         return self.modulus

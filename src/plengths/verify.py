@@ -13,9 +13,8 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from . import acm46, factor
 from .acm import Acm, _prime_powers
@@ -35,8 +34,7 @@ ENV_PREFIX = "PLENGTHS_"
 FORMATS = ("json", "csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Knobs for the verification harness and the CLI.
 
     Precedence: command-line flags, then environment variables with the
@@ -58,7 +56,7 @@ class RunConfig:
 
     @staticmethod
     def load(config_path: str | None = None, overrides: dict | None = None) -> "RunConfig":
-        defaults = {f.name: f.default for f in fields(RunConfig)}
+        defaults = RunConfig._field_defaults
         values: dict = {}
         if config_path:
             with open(config_path, encoding="utf-8") as fh:
@@ -106,8 +104,7 @@ class RunConfig:
         return cfg
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     claim: str
     passed: bool
     window: dict
@@ -128,8 +125,7 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     subject: dict
     checks: list[CheckResult]
     elapsed: float = 0.0
@@ -319,6 +315,7 @@ def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig):
     thr = qp_threshold(S)
 
     def body(details):
+        from fractions import Fraction
         for p in (2, 3):
             lo = thr + 1 + g1
             hi = lo + (p + 2) * g1 - 1

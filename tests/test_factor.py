@@ -18,6 +18,7 @@ from plengths import (
     min2_shift_check,
     plength,
 )
+from plengths import factor
 
 INF = math.inf
 
@@ -257,6 +258,36 @@ class TestClosedForms:
         assert peak < 1 << 20
         # n = 20 * (n // 20), and n = 6 * (n // 6 - 6) + 20 + 20 is longest
         assert lengths == [n // 20, n // 6 - 4]
+
+
+class TestTableByteLimit:
+    @pytest.mark.parametrize("p,mode", [(2, "max"), (1, "min"), (2, "min"), (INF, "min")])
+    def test_huge_n_refused_before_allocating(self, p, mode):
+        S = NumericalSemigroup((3, 5, 7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="over the limit"):
+                extremal_plength(S, 10**9, p, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_growth_stops_at_the_limit(self, monkeypatch):
+        S = NumericalSemigroup((3, 5, 7))
+        monkeypatch.setattr(factor, "_TABLE_CACHE", {})
+        monkeypatch.setattr(factor, "TABLE_BYTE_LIMIT", 3 * 8 * 1001)  # 3 rows of 1001 slots
+        extremal_values(S, 800, 1, "min")
+        extremal_values(S, 900, 1, "min")  # growing by half would reach 1200
+        assert factor._TABLE_CACHE[(S.generators, 1, "min")].size == 1000
+        assert extremal_plength(S, 1000, 1, "min").value == 144
+        with pytest.raises(BudgetExceededError):
+            extremal_values(S, 1001, 1, "min")
+
+    def test_limit_admits_the_largest_verified_table(self):
+        """ns verify on (11, 13, 17, 19, 23) samples its p = 0 min row up to
+        3 197 084: five rows of that many slots must fit."""
+        assert 5 * 8 * 3_197_085 <= factor.TABLE_BYTE_LIMIT
 
 
 class TestMin2:

@@ -8,6 +8,7 @@ from qp_oracle import lagrange_fit, reproduces
 
 from plengths import (
     NumericalSemigroup,
+    QuasiPolynomial,
     SampleWindow,
     WindowTooShortError,
     qp_detect,
@@ -34,6 +35,32 @@ def oracle_leading(w, degree, period):
     rows = lagrange_fit(w, degree, period)
     assert reproduces(w, rows)
     return len(rows[0]) - 1, tuple(row[-1] for row in rows)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("start,values", [(-1, (1,)), (0, ())])
+    def test_sample_window_rejects(self, start, values):
+        with pytest.raises(ValueError):
+            SampleWindow(start, values)
+
+    @pytest.mark.parametrize(
+        "degree,period,leading,message",
+        [
+            (-1, 1, (Fraction(1),), "degree >= 0"),
+            (1, 0, (), "period >= 1"),
+            (1, 2, (Fraction(1),), "one leading coefficient per residue class"),
+            (1, 2, (Fraction(0), Fraction(0)), "vanishes in every class"),
+        ],
+    )
+    def test_quasipolynomial_rejects(self, degree, period, leading, message):
+        with pytest.raises(ValueError, match=message):
+            QuasiPolynomial(degree, period, leading)
+
+    def test_valid_records_keep_their_fields(self):
+        w = SampleWindow(3, (1, 2))
+        assert (w.start, w.values, len(w), w.end) == (3, (1, 2), 2, 4)
+        qp = QuasiPolynomial(0, 2, (Fraction(0), Fraction(1, 2)))
+        assert (qp.degree, qp.period, qp.leading_coefficients) == (0, 2, (0, Fraction(1, 2)))
 
 
 class TestQpFit:

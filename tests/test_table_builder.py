@@ -148,3 +148,31 @@ def test_concurrent_growth_matches_brute_force(empty_cache):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
+
+
+def _scan_witness(tables, gens, n, p):
+    """The witness rule by scanning multiplicities down from m // g against
+    the oracle rows: the largest coordinate meeting the target."""
+    z, m = [], n
+    for i, g in enumerate(gens[:-1]):
+        nxt = tables[i + 1]
+        c = next(
+            c for c in range(m // g, -1, -1)
+            if nxt[m - c * g] is not None and _coord_cost(c, p) + nxt[m - c * g] == tables[i][m]
+        )
+        z.append(c)
+        m -= c * g
+    return (*z, m // gens[-1])
+
+
+@pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
+def test_stored_coordinates_match_scan(empty_cache, gens):
+    """p >= 2 min witnesses read the argmins stored by the fill; as the table
+    regrows under rising n they must equal the scan over the oracle rows."""
+    S = NumericalSemigroup(gens)
+    for p in (2, 3, 4):
+        oracle = brute_tables(gens, 700, p, "min")
+        for n in range(701):
+            if oracle[0][n] is not None:
+                got = factor.extremal_plength(S, n, p, "min").witness
+                assert got == _scan_witness(oracle, gens, n, p), (p, n)

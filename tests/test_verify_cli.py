@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,20 @@ class TestCli:
     def test_invalid_input_exit_2(self, capsys):
         assert self.run(capsys, "ns", "frobenius", "--gens", "4,6")[0] == 2
         assert self.run(capsys, "acm", "atoms", "--a", "2", "--b", "4", "--limit", "9")[0] == 2
+
+    def test_table_over_byte_limit_exit_2(self, capsys):
+        argv = ["ns", "plength", "--gens", "3,5,7", "--n", "1000000000", "--p", "2", "--mode", "max"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and peak < 16 << 20
+        assert captured.out == ""
+        assert captured.err.startswith("error: tables up to 1000000000 would take")
+        assert captured.err.count("\n") == 1
 
     def test_byte_identical_output(self, capsys):
         args = ["ns", "qp-table", "--gens", "2,3"]
