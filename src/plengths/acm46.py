@@ -96,16 +96,15 @@ def _residual_ok(e2: int, e5: int, e7: int) -> bool:
     return e2 >= 1 and (e2 + e5) % 2 == 0
 
 
-def ell0_max_exact(
-    x: SmoothElement, n: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def ell0_max_exact(x: SmoothElement, n: int) -> int:
     """Largest number of distinct atoms over all factorizations of x^n.
 
     A set D of distinct atoms is the support part of some factorization iff
     the componentwise sum of D fits under the exponents of x^n and the
     leftover is the identity or again a member. The search walks subset
     sizes downward with weight-sorted branch and bound, so the first
-    feasible size is the answer.
+    feasible size is the answer. It raises BudgetExceededError past
+    DEFAULT_NODE_BUDGET nodes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -134,7 +133,7 @@ def ell0_max_exact(
         def dfs(start: int, cnt: int, s2: int, s5: int, s7: int, wsum: int) -> bool:
             nonlocal nodes
             nodes += 1
-            if nodes > node_budget:
+            if nodes > DEFAULT_NODE_BUDGET:
                 raise BudgetExceededError("distinct-atom search exceeded node budget")
             if cnt == t:
                 return _residual_ok(e.e2 - s2, e.e5 - s5, e.e7 - s7)

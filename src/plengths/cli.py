@@ -57,12 +57,12 @@ def _family_flags(subject: dict) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for flag, kind in subject.items():
         parent.add_argument(flag, type=kind, required=True)
-    parent.add_argument("--format", choices=FORMATS, default=None, dest="fmt")
+    defaults = RunConfig._field_defaults
+    parent.add_argument("--format", choices=FORMATS, default=defaults["fmt"], dest="fmt")
     parent.add_argument("--out", default=None, help="write output to this file")
-    parent.add_argument("--config", default=None, help="JSON config file")
-    parent.add_argument("--budget", type=int, default=None)
-    parent.add_argument("--window", type=_parse_window, default=None)
-    parent.add_argument("--seed", type=int, default=None)
+    parent.add_argument("--budget", type=int, default=defaults["budget"])
+    parent.add_argument("--window", type=_parse_window, default=defaults["window"])
+    parent.add_argument("--seed", type=int, default=defaults["seed"])
     parent.add_argument("--timing", action="store_true", help="include timing in reports")
     return parent
 
@@ -182,18 +182,19 @@ def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
     return (0 if report.passed else 1), _json_text(report.to_json(args.timing))
 
 
+def _run_config(args) -> RunConfig:
+    """The run settings, from the flags alone; argparse has checked --format."""
+    if args.budget < 1:
+        raise ValueError("budget must be >= 1")
+    if args.window is not None and not 0 <= args.window[0] <= args.window[1]:
+        raise ValueError(f"window needs 0 <= start <= end, not {args.window!r}")
+    return RunConfig(args.budget, args.window, args.seed, args.fmt)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(
-            args.config,
-            {
-                "budget": args.budget,
-                "window": args.window,
-                "seed": args.seed,
-                "fmt": args.fmt,
-            },
-        )
+        cfg = _run_config(args)
         t0 = time.perf_counter()
         code, text = _run_ns(args, cfg) if args.family == "ns" else _run_acm(args, cfg)
         _emit(text, args.out)

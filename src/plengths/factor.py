@@ -14,6 +14,7 @@ All arithmetic is on Python integers, so nothing here can overflow.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from array import array
 from math import gcd, isqrt
@@ -31,8 +32,7 @@ INF = math.inf
 
 DEFAULT_ENUM_CAP = 10_000_000
 
-# Largest table a query may build: 8 bytes per list slot per row, plus the
-# coordinates p >= 2 min stores (the int objects of the values not counted).
+# Largest table a query may build, in bytes as _bytes_per_amount counts them.
 TABLE_BYTE_LIMIT = 1 << 30
 
 _MODES = ("min", "max")
@@ -122,10 +122,11 @@ def factorizations(
 #                 stops once z reaches the best value found
 #
 # A table costs O(n) cells for p in {0, 1} and inf max and O(n log n) per
-# residue class for p >= 2 min. Tables are cached per (generators, p, mode)
-# and grown geometrically. Every cell reads only smaller amounts, so regrowth
-# extends the rows in place, resuming from the O(g_i) values of state each
-# row keeps; sweeping a window of n values costs one table build.
+# residue class for p >= 2 min. Each semigroup holds its own tables per
+# (p, mode), which go with it, and they grow geometrically. Every cell reads
+# only smaller amounts, so regrowth extends the rows in place, resuming from
+# the O(g_i) values of state each row keeps; sweeping a window of n values
+# costs one table build.
 # ---------------------------------------------------------------------------
 
 
@@ -142,7 +143,6 @@ class _TableSet:
         self.states: list = [None] * len(gens)
 
 
-_TABLE_CACHE: dict[tuple, _TableSet] = {}
 _TABLE_LOCK = threading.Lock()
 
 
@@ -162,6 +162,26 @@ def _better(v, best, want_min: bool) -> bool:
 def _stores_coords(p, mode: str) -> bool:
     """The fill keeps each cell's witness coordinate in the row's state."""
     return mode == "min" and p != INF and p >= 2
+
+
+def _bytes_per_amount(gens: tuple[int, ...], size: int, p, mode: str) -> int:
+    """Bytes one amount of the tables over 0..size takes, at most.
+
+    Each row takes a list slot, and an int object of its own wherever the
+    row can hold values above 255 (Python shares the smaller ones): row i
+    holds at most (size // g_i) ** p, or size // g_i for p == inf, and is
+    charged an int of that many bits. p >= 2 min also stores a coordinate
+    per row but the last.
+    """
+    per_amount = 8 * len(gens)
+    digit_bits, digit_bytes = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
+    for g in gens:
+        bits = (size // g).bit_length() * (1 if p == INF else p)
+        if bits > 8:
+            per_amount += sys.getsizeof(1) + (bits - 1) // digit_bits * digit_bytes
+    if _stores_coords(p, mode):
+        per_amount += (len(gens) - 1) * array("l").itemsize
+    return per_amount
 
 
 def _fill_row(row: list, nxt: list, g: int, lo: int, hi: int, p, want_min: bool, state):
@@ -284,33 +304,35 @@ def _extend(ts: _TableSet, size: int, p, mode: str) -> None:
 
 
 def _table_set(S: NumericalSemigroup, n_max: int, p, mode: str) -> _TableSet:
-    """The cached tables of (S, p, mode), grown to cover amounts 0..n_max.
+    """S's tables of (p, mode), grown to cover amounts 0..n_max.
 
     Raises BudgetExceededError, before allocating, when tables reaching
     n_max would take more than TABLE_BYTE_LIMIT bytes.
     """
-    key = (S.generators, p, mode)
+    key, gens = (p, mode), S.generators
     with _TABLE_LOCK:
-        ts = _TABLE_CACHE.get(key)
+        ts = S._table_cache.get(key)
         if ts is not None and ts.size >= n_max:
             return ts
-        k = len(S.generators)
-        per_amount = 8 * k + _stores_coords(p, mode) * (k - 1) * array("l").itemsize
-        cap = TABLE_BYTE_LIMIT // per_amount - 1
-        if n_max > cap:
+        need = (n_max + 1) * _bytes_per_amount(gens, n_max, p, mode)
+        if need > TABLE_BYTE_LIMIT:
             raise BudgetExceededError(
-                f"tables up to {n_max} would take {(n_max + 1) * per_amount} bytes,"
+                f"tables up to {n_max} would take {need} bytes,"
                 f" over the limit of {TABLE_BYTE_LIMIT}"
             )
         if ts is None:
-            ts = _TABLE_CACHE[key] = _TableSet(S.generators)
+            ts = S._table_cache[key] = _TableSet(gens)
             size = n_max
         else:
-            size = min(cap, max(n_max, ts.size + ts.size // 2))
+            # grow by half, or to the most the limit admits; the count per
+            # amount never falls as the size grows
+            size = ts.size + ts.size // 2
+            cap = TABLE_BYTE_LIMIT // _bytes_per_amount(gens, size, p, mode) - 1
+            size = max(n_max, min(size, cap))
         try:
             _extend(ts, size, p, mode)
         except BaseException:
-            del _TABLE_CACHE[key]  # a half-extended table must not be reused
+            del S._table_cache[key]  # a half-extended table must not be reused
             raise
         return ts
 

@@ -67,7 +67,7 @@ def _apery(m: int, gens) -> tuple[int, ...]:
 class NumericalSemigroup:
     """The additive monoid generated by a minimal gcd-1 set of integers >= 2."""
 
-    __slots__ = ("generators", "_ap", "_apery_cache")
+    __slots__ = ("generators", "_ap", "_apery_cache", "_table_cache")
 
     def __init__(self, raw_generators):
         gens = sorted(set(int(g) for g in raw_generators))
@@ -89,6 +89,8 @@ class NumericalSemigroup:
         self.generators = tuple(gens)
         self._ap = _apery(gens[0], gens)
         self._apery_cache = {gens[0]: AperyTable(gens[0], self._ap)}
+        # (p, mode) -> the extremal tables factor builds and grows over S
+        self._table_cache: dict = {}
         # x is generated by the others iff x - g lies in S for a smaller
         # generator g: the parts of x - g are all below x
         for x in gens:

@@ -8,9 +8,7 @@ checks sorted by claim id.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import random
 import time
 from math import isqrt, lcm
@@ -30,78 +28,20 @@ from .semigroup import NumericalSemigroup
 
 INF = math.inf
 
-ENV_PREFIX = "PLENGTHS_"
 FORMATS = ("json", "csv")
 
 
 class RunConfig(NamedTuple):
-    """Knobs for the verification harness and the CLI.
+    """The run settings the command line sets: the factorization enumeration
+    cap, an explicit lo..hi window for windowed sweeps, the sampling seed
+    (it picks which n are sampled, never a computed value), and the output
+    format of `acm growth`. Each claim's own bounds live in its registry row
+    or beside its check."""
 
-    Precedence: command-line flags, then environment variables with the
-    PLENGTHS_ prefix, then the optional JSON config file, then these
-    defaults.
-    """
-
-    sweep: int = 200            # n beyond each threshold for windowed sweeps
-    budget: int = 10_000_000    # factorization enumeration cap
-    d_max: int = 4              # detection grid bounds
-    pi_max: int = 60
-    samples: int = 50           # sampled shift-invariance checks
-    power_limit: int = 8        # largest n for power experiments
-    smooth_limit: int = 1_000_000
-    m66_limit: int = 20_000
+    budget: int = 10_000_000
     window: tuple[int, int] | None = None
     seed: int = 1729
     fmt: str = "json"
-
-    @staticmethod
-    def load(config_path: str | None = None, overrides: dict | None = None) -> "RunConfig":
-        defaults = RunConfig._field_defaults
-        values: dict = {}
-        if config_path:
-            with open(config_path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError(f"{config_path}: config must be a JSON object")
-            values.update(data)
-        env_names = {ENV_PREFIX + name.upper(): name for name in defaults}
-        for var, env in os.environ.items():
-            if not var.startswith(ENV_PREFIX):
-                continue
-            if var not in env_names:
-                raise ValueError(f"unknown config variable: {var}")
-            name = env_names[var]
-            try:
-                if name == "window":
-                    lo, hi = env.split(":")
-                    values[name] = (int(lo), int(hi))
-                elif name == "fmt":
-                    values[name] = env
-                else:
-                    values[name] = int(env)
-            except ValueError:
-                form = "LO:HI with two integers" if name == "window" else "an integer"
-                raise ValueError(f"{var} must be {form}, not {env!r}") from None
-        if overrides:
-            values.update({k: v for k, v in overrides.items() if v is not None})
-        for name, value in values.items():
-            if name not in defaults:
-                raise ValueError(f"unknown config key: {name}")
-            if name != "window" and type(value) is not type(defaults[name]):
-                raise ValueError(f"{name} must be {type(defaults[name]).__name__}, not {value!r}")
-        if values.get("fmt", "json") not in FORMATS:
-            raise ValueError(f"fmt must be one of {', '.join(FORMATS)}, not {values['fmt']!r}")
-        window = values.get("window")
-        if window is not None:
-            if not isinstance(window, (list, tuple)) or [type(v) for v in window] != [int, int]:
-                raise ValueError(f"window must be a pair of two ints, not {window!r}")
-            if not 0 <= window[0] <= window[1]:
-                raise ValueError(f"window needs 0 <= start <= end, not {window!r}")
-            values["window"] = tuple(window)
-        cfg = RunConfig(**values)
-        if cfg.budget < 1:
-            raise ValueError("budget must be >= 1")
-        return cfg
 
 
 class CheckResult(NamedTuple):
@@ -158,11 +98,14 @@ def _run(claim: str, window: dict, fn) -> CheckResult:
     return CheckResult(claim, passed, window, details, counterexample, time.perf_counter() - t0)
 
 
-def _sweep_range(S: NumericalSemigroup, threshold: int, cfg: RunConfig) -> tuple[int, int]:
+SWEEP = 200  # n examined past each threshold when no window is given
+
+
+def _sweep_range(threshold: int, cfg: RunConfig) -> tuple[int, int]:
     if cfg.window is not None:
         lo, hi = cfg.window
         return max(threshold + 1, lo), hi
-    return threshold + 1, threshold + cfg.sweep
+    return threshold + 1, threshold + SWEEP
 
 
 def _sweep(details: dict, vals: list, lo: int, hi: int, compare, vacuous=None) -> dict | None:
@@ -199,7 +142,7 @@ def _check_len_recurrence(S: NumericalSemigroup, cfg: RunConfig, mode: str):
         threshold, step = (g1 - 1) * gk, gk
     else:
         threshold, step = (gens[-2] - 1) * gk, g1
-    lo, hi = _sweep_range(S, threshold, cfg)
+    lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
         vals = factor.extremal_values(S, hi, 1, mode)
@@ -221,7 +164,7 @@ def _check_l0_periodic(S: NumericalSemigroup, cfg: RunConfig):
     gens = S.generators
     period = lcm(*gens)
     threshold = gens[-1] ** 2
-    lo, hi = _sweep_range(S, threshold, cfg)
+    lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
         vals = factor.extremal_values(S, hi + period, 0, "min")
@@ -238,7 +181,7 @@ def _check_l0_constant(S: NumericalSemigroup, cfg: RunConfig):
     gens = S.generators
     k = len(gens)
     threshold = S.frobenius() + sum(gens)
-    lo, hi = _sweep_range(S, threshold, cfg)
+    lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
         vals = factor.extremal_values(S, hi, 0, "max")
@@ -255,7 +198,7 @@ def _check_l0_constant(S: NumericalSemigroup, cfg: RunConfig):
 
 def _check_linfmin_lower_bound(S: NumericalSemigroup, cfg: RunConfig, c_max: int = 20):
     g = sum(S.generators)
-    hi = c_max * g + cfg.sweep
+    hi = c_max * g + SWEEP
 
     def body(details):
         vals = factor.extremal_values(S, hi, INF, "min")
@@ -293,7 +236,7 @@ def _check_linf_closed(S: NumericalSemigroup, cfg: RunConfig, mode: str):
         threshold, step, closed = g1 * g1 * g, g1, factor.closed_max_inf
     else:
         threshold, step, closed = g * g, g, factor.closed_min_inf
-    lo, hi = _sweep_range(S, threshold, cfg)
+    lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
         vals = factor.extremal_values(S, hi, INF, mode)
@@ -370,17 +313,17 @@ def _check_second_difference(S: NumericalSemigroup, cfg: RunConfig):
     return {"N": N}, body
 
 
-def _check_shift_invariance(S: NumericalSemigroup, cfg: RunConfig):
+def _check_shift_invariance(S: NumericalSemigroup, cfg: RunConfig, samples: int):
     def body(details):
         rng = random.Random(cfg.seed)
-        for _ in range(cfg.samples):
+        for _ in range(samples):
             n = rng.randrange(0, 2000)
             if not factor.min2_shift_check(S, n):
                 return {"n": n}
-        details.update(checked=cfg.samples)
+        details.update(checked=samples)
         return None
 
-    return {"samples": cfg.samples, "seed": cfg.seed}, body
+    return {"samples": samples, "seed": cfg.seed}, body
 
 
 def cube_min_candidates(n: int) -> list[int]:
@@ -425,21 +368,21 @@ def _check_cube_floor_formula(S: NumericalSemigroup, cfg: RunConfig):
     return {"lo": lo, "hi": hi}, body
 
 
-def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig):
+def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig, d_max: int, pi_max: int):
     lo, hi = 100, 1600
 
     def body(details):
         w = sample_extremal(S, 3, "min", lo, hi)
-        rep = qp_detect(w, cfg.d_max, cfg.pi_max)
+        rep = qp_detect(w, d_max, pi_max)
         if rep.fitted:
             return {
                 "degree": rep.quasipoly.degree,
                 "period": rep.quasipoly.period,
             }
-        details.update(searched={"d_max": cfg.d_max, "pi_max": cfg.pi_max})
+        details.update(searched={"d_max": d_max, "pi_max": pi_max})
         return None
 
-    return {"lo": lo, "hi": hi, "d_max": cfg.d_max, "pi_max": cfg.pi_max}, body
+    return {"lo": lo, "hi": hi, "d_max": d_max, "pi_max": pi_max}, body
 
 
 def _check_qp_table(S: NumericalSemigroup, cfg: RunConfig):
@@ -464,7 +407,7 @@ def omega(x: int) -> int:
     return sum(e for _, e in _prime_powers(x))
 
 
-def _sandwich_cases(M: Acm, cfg: RunConfig) -> list[int]:
+def _sandwich_cases(M: Acm) -> list[int]:
     if (M.a, M.b) == (4, 6):
         return [28, 40, 70]
     if (M.a, M.b) == (1, 4):
@@ -475,14 +418,14 @@ def _sandwich_cases(M: Acm, cfg: RunConfig) -> list[int]:
     return out or [M.b + M.a]
 
 
-def _check_power_sandwich(M: Acm, cfg: RunConfig):
-    cases = _sandwich_cases(M, cfg)
+def _check_power_sandwich(M: Acm, cfg: RunConfig, n_max: int):
+    cases = _sandwich_cases(M)
 
     def body(details):
         checked = 0
         for x in cases:
             kp = omega(x)
-            for n in range(1, cfg.power_limit + 1):
+            for n in range(1, n_max + 1):
                 if (M.a, M.b) == (4, 6):
                     u = acm46.smooth_from_int(x)
                     linf = acm46.power_extremal(u, n, INF, "max")
@@ -498,12 +441,10 @@ def _check_power_sandwich(M: Acm, cfg: RunConfig):
         details.update(checked=checked)
         return None
 
-    return {"x": cases, "n_max": cfg.power_limit}, body
+    return {"x": cases, "n_max": n_max}, body
 
 
-def _check_smooth_classifier(M: Acm, cfg: RunConfig):
-    limit = cfg.smooth_limit
-
+def _check_smooth_classifier(M: Acm, cfg: RunConfig, limit: int):
     def body(details):
         checked = 0
         v2 = 1
@@ -530,12 +471,8 @@ def _check_smooth_classifier(M: Acm, cfg: RunConfig):
     return {"limit": limit}, body
 
 
-def _check_closed_support(M: Acm, cfg: RunConfig, base: int):
+def _check_closed_support(M: Acm, cfg: RunConfig, base: int, lo: int, hi: int, closed):
     x = acm46.smooth_from_int(base)
-    if base == 28:
-        lo, hi, closed = 3, max(3, cfg.power_limit), acm46.ell0_max_28_closed
-    else:
-        lo, hi, closed = 1, max(1, cfg.power_limit), acm46.ell0_max_40_closed
 
     def body(details):
         for n in range(lo, hi + 1):
@@ -560,7 +497,7 @@ def _check_construction_70(M: Acm, cfg: RunConfig):
     return {"k": [2, 4, 6, 8, 10]}, body
 
 
-def _check_good_atom_bound(M: Acm, cfg: RunConfig):
+def _check_good_atom_bound(M: Acm, cfg: RunConfig, n_max: int):
     bases = [28, 40, 70, 490]
 
     def body(details):
@@ -569,7 +506,7 @@ def _check_good_atom_bound(M: Acm, cfg: RunConfig):
             x = acm46.smooth_from_int(base)
             G = acm46.count_good_atoms(x)
             counts[base] = G
-            for n in range(1, cfg.power_limit + 1):
+            for n in range(1, n_max + 1):
                 linf = acm46.power_extremal(x, n, INF, "min")
                 l1 = acm46.power_extremal(x, n, 1, "min")
                 if 3 * G * linf < n or linf > l1:
@@ -577,12 +514,11 @@ def _check_good_atom_bound(M: Acm, cfg: RunConfig):
         details.update(good_atom_counts=counts)
         return None
 
-    return {"x": bases, "n_max": cfg.power_limit}, body
+    return {"x": bases, "n_max": n_max}, body
 
 
-def _check_evil_slots(M: Acm, cfg: RunConfig):
+def _check_evil_slots(M: Acm, cfg: RunConfig, n_max: int):
     bases = [28, 40, 70]
-    n_max = min(cfg.power_limit, 4)
 
     def body(details):
         checked = 0
@@ -606,9 +542,7 @@ def _check_evil_slots(M: Acm, cfg: RunConfig):
     return {"x": bases, "n_max": n_max}, body
 
 
-def _check_two_atom_split(M: Acm, cfg: RunConfig):
-    limit = cfg.m66_limit
-
+def _check_two_atom_split(M: Acm, cfg: RunConfig, limit: int):
     def body(details):
         atoms = M.atoms_up_to(limit)
         pairs = set()
@@ -679,8 +613,9 @@ def _check_stable_power_atoms(M: Acm, cfg: RunConfig):
 
 # ---------------------------------------------------------------------------
 # Claim tables: (claim id, the subject it is limited to or None for every
-# subject, check, extra check arguments), in the order the checks run. A
-# semigroup is named by its generators, a monoid by (a, b).
+# subject, check, extra check arguments: the mode, base or bounds the claim
+# is checked at), in the order the checks run. A semigroup is named by its
+# generators, a monoid by (a, b).
 # ---------------------------------------------------------------------------
 
 SEMIGROUP_CLAIMS = (
@@ -694,23 +629,23 @@ SEMIGROUP_CLAIMS = (
     ("linfmin-closed-form", None, _check_linf_closed, "min"),
     ("lpmax-quasipoly", None, _check_lpmax_quasipoly),
     ("l2min-second-difference", None, _check_second_difference),
-    ("l2min-shift-invariance", None, _check_shift_invariance),
+    ("l2min-shift-invariance", None, _check_shift_invariance, 50),
     ("qp-table", None, _check_qp_table),
     ("l3min-floor-formula", (2, 3), _check_cube_floor_formula),
-    ("l3min-not-quasipolynomial", (2, 3), _check_cube_not_qp),
+    ("l3min-not-quasipolynomial", (2, 3), _check_cube_not_qp, 4, 60),
 )
 
 ACM_CLAIMS = (
-    ("power-sandwich", None, _check_power_sandwich),
-    ("smooth-classifier", (4, 6), _check_smooth_classifier),
-    ("max-support-closed-28", (4, 6), _check_closed_support, 28),
-    ("max-support-closed-40", (4, 6), _check_closed_support, 40),
+    ("power-sandwich", None, _check_power_sandwich, 8),
+    ("smooth-classifier", (4, 6), _check_smooth_classifier, 1_000_000),
+    ("max-support-closed-28", (4, 6), _check_closed_support, 28, 3, 8, acm46.ell0_max_28_closed),
+    ("max-support-closed-40", (4, 6), _check_closed_support, 40, 1, 8, acm46.ell0_max_40_closed),
     ("construction-70", (4, 6), _check_construction_70),
-    ("good-atom-lower-bound", (4, 6), _check_good_atom_bound),
-    ("evil-slots-bounded", (4, 6), _check_evil_slots),
+    ("good-atom-lower-bound", (4, 6), _check_good_atom_bound, 8),
+    ("evil-slots-bounded", (4, 6), _check_evil_slots, 4),
     ("hilbert-441", (1, 4), _check_hilbert),
     ("stable-power-atoms", (1, 4), _check_stable_power_atoms),
-    ("two-atom-split", (6, 6), _check_two_atom_split),
+    ("two-atom-split", (6, 6), _check_two_atom_split, 20_000),
 )
 
 

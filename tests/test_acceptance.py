@@ -214,7 +214,7 @@ def test_criterion_07_seventy_growth():
         n, pairs = construct_70_factorization(k)
         bound = k * (k + 1) // 2 + 1
         assert len({u for u, _ in pairs}) == bound
-        exact = ell0_max_exact(x70, n, node_budget=50_000_000)
+        exact = ell0_max_exact(x70, n)
         assert exact >= bound, (k, n, exact, bound)
     series = growth_series(x70, 0, "max", 12)
     slope = series.fitted_exponent

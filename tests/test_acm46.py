@@ -93,11 +93,12 @@ class TestSupportMaximum:
     def test_70_series(self):
         assert [ell0_max_exact(X70, n) for n in range(1, 13)] == SUPPORT_MAX_70
 
-    def test_node_budget(self):
-        from plengths import BudgetExceededError
+    def test_node_budget(self, monkeypatch):
+        from plengths import BudgetExceededError, acm46
 
+        monkeypatch.setattr(acm46, "DEFAULT_NODE_BUDGET", 5)
         with pytest.raises(BudgetExceededError):
-            ell0_max_exact(X70, 12, node_budget=5)
+            ell0_max_exact(X70, 12)
 
     def test_enumeration_cross_check(self):
         """Support maximum agrees with brute enumeration over the generic monoid."""

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -275,14 +276,40 @@ class TestTableByteLimit:
 
     def test_growth_stops_at_the_limit(self, monkeypatch):
         S = NumericalSemigroup((3, 5, 7))
-        monkeypatch.setattr(factor, "_TABLE_CACHE", {})
-        monkeypatch.setattr(factor, "TABLE_BYTE_LIMIT", 3 * 8 * 1001)  # 3 rows of 1001 slots
+        # 1001 amounts of 3 list slots and one int object: up to 1200 only
+        # the row of 3 holds values above 255 (at most 1200 // 3 = 400)
+        monkeypatch.setattr(factor, "TABLE_BYTE_LIMIT", (3 * 8 + sys.getsizeof(400)) * 1001)
         extremal_values(S, 800, 1, "min")
         extremal_values(S, 900, 1, "min")  # growing by half would reach 1200
-        assert factor._TABLE_CACHE[(S.generators, 1, "min")].size == 1000
+        assert S._table_cache[(1, "min")].size == 1000
         assert extremal_plength(S, 1000, 1, "min").value == 144
         with pytest.raises(BudgetExceededError):
             extremal_values(S, 1001, 1, "min")
+
+    def test_estimate_covers_the_traced_peak(self):
+        """The count includes the int objects of a p = 1 table's values."""
+        S, n = NumericalSemigroup((3, 5, 7)), 10**5
+        tracemalloc.start()
+        try:
+            extremal_values(S, n, 1, "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (n + 1) * factor._bytes_per_amount(S.generators, n, 1, "max") >= peak
+
+    def test_table_goes_with_its_semigroup(self):
+        S = NumericalSemigroup((3, 5, 7))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            extremal_values(S, 10**5, 1, "max")
+            built = tracemalloc.get_traced_memory()[0]
+            del S
+            freed = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert built - before > 5 << 20
+        assert freed - before < 64 << 10
 
     def test_limit_admits_the_largest_verified_table(self):
         """ns verify on (11, 13, 17, 19, 23) samples its p = 0 min row up to

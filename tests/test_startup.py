@@ -14,10 +14,10 @@ from plengths.cli import build_parser
 ROOT = Path(__file__).parents[1]
 
 COMMON_ARGV = [
-    "--format", "csv", "--out", "o.txt", "--config", "c.json", "--budget", "5",
-    "--window", "1:9", "--seed", "3", "--timing",
+    "--format", "csv", "--out", "o.txt", "--budget", "5", "--window", "1:9", "--seed", "3",
+    "--timing",
 ]
-COMMON = dict(fmt="csv", out="o.txt", config="c.json", budget=5, window=(1, 9), seed=3, timing=True)
+COMMON = dict(fmt="csv", out="o.txt", budget=5, window=(1, 9), seed=3, timing=True)
 
 # (family, command): (argv after the command without the common flags, parsed values)
 FULL_ARGV = {

@@ -79,13 +79,8 @@ def brute_tables(gens, n_max, p, mode):
     return tables
 
 
-@pytest.fixture
-def empty_cache(monkeypatch):
-    monkeypatch.setattr(factor, "_TABLE_CACHE", {})
-
-
 def _assert_rows_match(S, steps, p, mode):
-    """Grow the cached table through steps; after each, compare every row."""
+    """Grow S's table through steps; after each, compare every row."""
     oracle = brute_tables(S.generators, steps[-1], p, mode)
     for n in steps:
         rows = factor._tables(S, n, p, mode)
@@ -94,16 +89,16 @@ def _assert_rows_match(S, steps, p, mode):
 
 
 @pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
-def test_rows_match_brute_force_grown_in_three_steps(empty_cache, gens):
+def test_rows_match_brute_force_grown_in_three_steps(gens):
     S = NumericalSemigroup(gens)
     for p in EXPONENTS:
         for mode in MODES:
             _assert_rows_match(S, [150, 400, 700], p, mode)
-            assert factor._TABLE_CACHE[(gens, p, mode)].size == 700
+            assert S._table_cache[(p, mode)].size == 700
 
 
 @pytest.mark.parametrize("gens", [(2, 3), (6, 9, 20), (7, 8, 9, 10, 11)])
-def test_rows_match_brute_force_grown_from_zero(empty_cache, gens):
+def test_rows_match_brute_force_grown_from_zero(gens):
     """Many small extensions, most of them shorter than a generator."""
     S = NumericalSemigroup(gens)
     steps = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
@@ -112,7 +107,7 @@ def test_rows_match_brute_force_grown_from_zero(empty_cache, gens):
             _assert_rows_match(S, steps, p, mode)
 
 
-def test_regrowth_keeps_earlier_rows(empty_cache):
+def test_regrowth_keeps_earlier_rows():
     S = NumericalSemigroup((6, 9, 20))
     rows = factor._tables(S, 300, 2, "min")
     before = [row[:] for row in rows]
@@ -120,8 +115,8 @@ def test_regrowth_keeps_earlier_rows(empty_cache):
     assert [row[:301] for row in rows] == before
 
 
-def test_concurrent_growth_matches_brute_force(empty_cache):
-    """Threads growing one cached table in interleaved steps all read the
+def test_concurrent_growth_matches_brute_force():
+    """Threads growing one semigroup's table in interleaved steps all read the
     same cells as a fresh brute-force build."""
     S = NumericalSemigroup((3, 5, 7))
     want = brute_tables(S.generators, 600, 2, "min")[0]
@@ -166,7 +161,7 @@ def _scan_witness(tables, gens, n, p):
 
 
 @pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
-def test_stored_coordinates_match_scan(empty_cache, gens):
+def test_stored_coordinates_match_scan(gens):
     """p >= 2 min witnesses read the argmins stored by the fill; as the table
     regrows under rising n they must equal the scan over the oracle rows."""
     S = NumericalSemigroup(gens)

@@ -9,8 +9,6 @@ from plengths import Acm, RunConfig, verify_acm, verify_semigroup
 from plengths.cli import main
 from plengths.verify import cube_min_candidates, find_second_difference_start
 
-QUICK = RunConfig(sweep=60, samples=8, power_limit=4, smooth_limit=20_000, m66_limit=2_000)
-
 # Reference digests of the benchmark's command lines; read only.
 REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
 
@@ -38,20 +36,20 @@ VERIFY_CLAIM_IDS = {
 
 class TestHarness:
     def test_semigroup_checks_pass(self, semigroups):
-        report = verify_semigroup(semigroups[(3, 5, 7)], QUICK)
+        report = verify_semigroup(semigroups[(3, 5, 7)])
         assert report.passed, report.to_json()
         claims = [c.claim for c in report.checks]
         assert claims == sorted(claims)
 
     def test_cube_checks_only_for_two_three(self, semigroups):
-        claims = {c.claim for c in verify_semigroup(semigroups[(2, 3)], QUICK).checks}
+        claims = {c.claim for c in verify_semigroup(semigroups[(2, 3)]).checks}
         assert "l3min-floor-formula" in claims
-        claims357 = {c.claim for c in verify_semigroup(semigroups[(3, 5, 7)], QUICK).checks}
+        claims357 = {c.claim for c in verify_semigroup(semigroups[(3, 5, 7)]).checks}
         assert "l3min-floor-formula" not in claims357
 
     def test_acm_checks_pass(self):
         for a, b in ((4, 6), (1, 4), (6, 6)):
-            report = verify_acm(Acm(a, b), QUICK)
+            report = verify_acm(Acm(a, b))
             assert report.passed, report.to_json()
 
     def test_failure_carries_counterexample(self):
@@ -60,12 +58,12 @@ class TestHarness:
         # is the first reducible member needing three atoms)
         from plengths.verify import _check_two_atom_split, _run
 
-        result = _run("two-atom-split", *_check_two_atom_split(Acm(1, 4), RunConfig(m66_limit=200)))
+        result = _run("two-atom-split", *_check_two_atom_split(Acm(1, 4), RunConfig(), 200))
         assert not result.passed
         assert result.counterexample == {"x": 125, "l1_min": 3}
 
     def test_no_counterexamples_on_pass(self, semigroups):
-        report = verify_semigroup(semigroups[(2, 3)], QUICK)
+        report = verify_semigroup(semigroups[(2, 3)])
         for c in report.checks:
             assert c.counterexample is None
 
@@ -83,27 +81,25 @@ class TestHarness:
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
+        assert RunConfig._fields == ("budget", "window", "seed", "fmt")
         assert cfg.budget == 10_000_000 and cfg.fmt == "json"
+        assert not hasattr(RunConfig, "load")
 
-    def test_file_and_override(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"sweep": 77, "budget": 123}))
-        cfg = RunConfig.load(str(path), {"budget": 456})
-        assert cfg.sweep == 77 and cfg.budget == 456
+    def test_rejects_bad_budget(self, capsys):
+        assert main(["ns", "verify", "--gens", "2,3", "--budget", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: budget must be >= 1\n"
 
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv("PLENGTHS_SWEEP", "99")
-        monkeypatch.setenv("PLENGTHS_WINDOW", "100:200")
-        cfg = RunConfig.load()
-        assert cfg.sweep == 99 and cfg.window == (100, 200)
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PLENGTHS_SWEEP", "99")
-        assert RunConfig.load(None, {"sweep": 11}).sweep == 11
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            RunConfig.load(None, {"budget": 0})
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        """Settings come from the command line alone: PLENGTHS_ variables,
+        known or not, change neither output nor exit code."""
+        monkeypatch.setenv("PLENGTHS_SWEEP", "5")
+        monkeypatch.setenv("PLENGTHS_FOO", "1")
+        command = "ns verify --gens 2,3 --seed 0"
+        code = main(command.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert (code, digest) == (REFS[command]["rc"], REFS[command]["digest"])
+        assert main(["ns", "frobenius", "--gens", "2,3"]) == 0
 
 
 class TestCli:
@@ -203,53 +199,46 @@ class TestCli:
             assert c["details"]["checked"] == 0
             assert c["counterexample"] == {"error": "nothing was examined"}
 
-    def test_unknown_config_key_or_type_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        for data in ({"jobs": 2}, {"sweep": "200"}):
-            path.write_text(json.dumps(data))
-            assert self.run(capsys, "ns", "verify", "--gens", "2,3", "--config", str(path))[0] == 2
-
-    def test_node_budget_is_unknown_exit_2(self, capsys, tmp_path, monkeypatch):
-        argv = ["ns", "verify", "--gens", "2,3"]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"node_budget": 5}))
-        assert self.run(capsys, *argv, "--config", str(path))[0] == 2
-        monkeypatch.setenv("PLENGTHS_NODE_BUDGET", "5")
-        assert main(argv) == 2
-        assert "PLENGTHS_NODE_BUDGET" in capsys.readouterr().err
-
-    def test_window_not_a_pair_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        for window in ("200:800", [200], [200, 800.0]):
-            path.write_text(json.dumps({"window": window}))
-            assert self.run(capsys, "ns", "verify", "--gens", "2,3", "--config", str(path))[0] == 2
-
-    def test_reversed_window_exit_2(self, capsys, tmp_path, monkeypatch):
-        argv = ["ns", "verify", "--gens", "2,3"]
-        assert self.run(capsys, *argv, "--window", "9:3")[0] == 2
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"window": [9, 3]}))
-        assert self.run(capsys, *argv, "--config", str(path))[0] == 2
-        monkeypatch.setenv("PLENGTHS_WINDOW", "9:3")
-        assert self.run(capsys, *argv)[0] == 2
-
-    def test_unknown_format_exit_2(self, capsys, tmp_path, monkeypatch):
-        argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "28", "--p", "0", "--mode", "max"]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"fmt": "xml"}))
-        assert main([*argv, "--nmax", "2", "--config", str(path)]) == 2
-        assert "fmt must be one of json, csv" in capsys.readouterr().err
-        monkeypatch.setenv("PLENGTHS_FMT", "xml")
-        assert main([*argv, "--nmax", "2"]) == 2
+    def refused(self, capsys, *argv) -> str:
+        """argparse rejects argv: exit 2, nothing on stdout; its stderr."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
         captured = capsys.readouterr()
-        assert captured.out == "" and "fmt must be one of json, csv" in captured.err
+        assert exc.value.code == 2 and captured.out == ""
+        return captured.err
 
-    @pytest.mark.parametrize("value", ["9", "a:5"])
-    def test_malformed_window_variable_is_named(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("PLENGTHS_WINDOW", value)
-        assert main(["ns", "verify", "--gens", "2,3"]) == 2
-        err = capsys.readouterr().err
-        assert "PLENGTHS_WINDOW" in err and "LO:HI" in err and repr(value) in err
+    def test_unknown_config_key_or_type_exit_2(self, capsys):
+        """No config file is read, and the claim bounds are no settings."""
+        argv = ["ns", "verify", "--gens", "2,3"]
+        assert "unrecognized arguments: --config x.json" in self.refused(
+            capsys, *argv, "--config", "x.json"
+        )
+        assert "unrecognized arguments: --sweep" in self.refused(capsys, *argv, "--sweep", "200")
+        assert "argument --budget: invalid int value" in self.refused(
+            capsys, *argv, "--budget", "1e6"
+        )
+
+    def test_node_budget_is_unknown_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLENGTHS_NODE_BUDGET", "5")
+        assert main(["acm", "atoms", "--a", "1", "--b", "4", "--limit", "9"]) == 0
+        capsys.readouterr()
+        self.refused(capsys, "acm", "verify", "--a", "4", "--b", "6", "--node-budget", "5")
+
+    def test_window_not_a_pair_exit_2(self, capsys):
+        for value in ("9", "a:5", "200:800.0", "1:2:3"):
+            err = self.refused(capsys, "ns", "verify", "--gens", "2,3", "--window", value)
+            assert "LO:HI" in err and repr(value) in err
+
+    def test_reversed_window_exit_2(self, capsys):
+        assert main(["ns", "verify", "--gens", "2,3", "--window", "9:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window needs 0 <= start <= end, not (9, 3)\n"
+
+    def test_unknown_format_exit_2(self, capsys):
+        argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "28", "--p", "0", "--mode", "max"]
+        err = self.refused(capsys, *argv, "--nmax", "2", "--format", "xml")
+        assert "argument --format: invalid choice: 'xml'" in err
 
     def test_growth_rejects_zero(self):
         argv = ["acm", "growth", "--a", "4", "--b", "6", "--x", "0", "--p", "1", "--mode", "max"]
