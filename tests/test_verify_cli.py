@@ -225,9 +225,19 @@ class TestCli:
         self.refused(capsys, "acm", "verify", "--a", "4", "--b", "6", "--node-budget", "5")
 
     def test_window_not_a_pair_exit_2(self, capsys):
-        for value in ("9", "a:5", "200:800.0", "1:2:3"):
+        for value in ("200:800.0", "1:2:3"):
             err = self.refused(capsys, "ns", "verify", "--gens", "2,3", "--window", value)
             assert "LO:HI" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["9", "a:5"])
+    def test_malformed_window_variable_is_named(self, capsys, monkeypatch, value):
+        """A malformed window in PLENGTHS_WINDOW is ignored; the same value
+        given to --window is refused, naming the option and the value."""
+        monkeypatch.setenv("PLENGTHS_WINDOW", value)
+        assert main(["ns", "frobenius", "--gens", "2,3"]) == 0
+        capsys.readouterr()
+        err = self.refused(capsys, "ns", "verify", "--gens", "2,3", "--window", value)
+        assert "--window" in err and "LO:HI" in err and repr(value) in err
 
     def test_reversed_window_exit_2(self, capsys):
         assert main(["ns", "verify", "--gens", "2,3", "--window", "9:3"]) == 2
