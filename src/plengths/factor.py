@@ -17,6 +17,7 @@ import math
 import sys
 import threading
 from array import array
+from itertools import repeat
 from math import gcd, isqrt
 from operator import add
 from typing import NamedTuple
@@ -32,7 +33,8 @@ INF = math.inf
 
 DEFAULT_ENUM_CAP = 10_000_000
 
-# Largest table a query may build, in bytes as _bytes_per_amount counts them.
+# Largest table a query may build, in bytes as _bytes_per_amount and
+# _fixed_bytes count them.
 TABLE_BYTE_LIMIT = 1 << 30
 
 _MODES = ("min", "max")
@@ -118,15 +120,20 @@ def factorizations(
 #                 cost(j - t) + next[t] form a Monge matrix whose leftmost
 #                 argmin is monotone in j: divide and conquer over rows;
 #                 each cell also keeps its z = j - t for witnesses
-#   otherwise     (p == inf min, p >= 2 max) a scan over z; for inf min it
-#                 stops once z reaches the best value found
+#   p == inf min  a scan out from the balanced z = m // (g_i + rest), rest
+#                 the sum of the later generators, bounded by z < best
+#                 upwards and by next[x] >= ceil(x / rest) downwards
+#   p >= 2 max    a scan down from z = m // g_i, bounded by next[x] *
+#                 g_{i+1}^p <= x^p: it stops once no smaller z can win
 #
-# A table costs O(n) cells for p in {0, 1} and inf max and O(n log n) per
-# residue class for p >= 2 min. Each semigroup holds its own tables per
-# (p, mode), which go with it, and they grow geometrically. Every cell reads
-# only smaller amounts, so regrowth extends the rows in place, resuming from
-# the O(g_i) values of state each row keeps; sweeping a window of n values
-# costs one table build.
+# A table costs O(n) cells for p in {0, 1} and inf max, O(n log n) per
+# residue class for p >= 2 min, and for inf min and p >= 2 max a few z per
+# cell (1.5 to 6.4 on average over (2, 3) .. (11, 13, 17, 19, 23) to
+# n = 30 000). Each semigroup holds its own tables per (p, mode), which go
+# with it, and they grow geometrically. Every cell reads only smaller
+# amounts, so regrowth extends the rows in place, resuming from the O(g_i)
+# values of state each row keeps; sweeping a window of n values costs one
+# table build.
 # ---------------------------------------------------------------------------
 
 
@@ -170,10 +177,11 @@ def _bytes_per_amount(gens: tuple[int, ...], size: int, p, mode: str) -> int:
     Each row takes a list slot, and an int object of its own wherever the
     row can hold values above 255 (Python shares the smaller ones): row i
     holds at most (size // g_i) ** p, or size // g_i for p == inf, and is
-    charged an int of that many bits. p >= 2 min also stores a coordinate
+    charged an int of that many bits. One more slot is for the copy of
+    row 0 that extremal_values returns. p >= 2 min also stores a coordinate
     per row but the last.
     """
-    per_amount = 8 * len(gens)
+    per_amount = 8 * (len(gens) + 1)
     digit_bits, digit_bytes = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
     for g in gens:
         bits = (size // g).bit_length() * (1 if p == INF else p)
@@ -184,11 +192,21 @@ def _bytes_per_amount(gens: tuple[int, ...], size: int, p, mode: str) -> int:
     return per_amount
 
 
-def _fill_row(row: list, nxt: list, g: int, lo: int, hi: int, p, want_min: bool, state):
+def _fixed_bytes(gens: tuple[int, ...]) -> int:
+    """Bytes of tables that do not grow with their size, at most: per row
+    256 for list and object headers and two slots per residue class for the
+    state its fill keeps."""
+    return sum(256 + 16 * g for g in gens)
+
+
+def _fill_row(
+    row: list, nxt: list, g: int, later: tuple, lo: int, hi: int, p, want_min: bool, state
+):
     """Set row[lo..hi] to best(m, i) from nxt = best(., i + 1) over 0..hi.
 
-    row already holds best(m, i) for m < lo. state is what the previous fill
-    of this row returned (None before the first); the new state is returned.
+    g is g_i and later the generators after it. row already holds best(m, i)
+    for m < lo. state is what the previous fill of this row returned (None
+    before the first); the new state is returned.
     """
     if p == 1:
         for m in range(lo, hi + 1):
@@ -226,28 +244,65 @@ def _fill_row(row: list, nxt: list, g: int, lo: int, hi: int, p, want_min: bool,
                 row[m] = run[r] if run[r] > z else z
         return run, first
     if p == INF:
-        for m in range(lo, hi + 1):
-            best = nxt[m]
-            z, off = 1, m - g
-            while off >= 0 and (best is None or z < best):
-                sub = nxt[off]
-                if sub is not None:
-                    v = sub if sub > z else z
-                    if best is None or v < best:
-                        best = v
-                z += 1
-                off -= g
-            row[m] = best
-        return None
-    costs = [z**p for z in range(hi // g + 1)]
+        return _fill_inf_min(row, nxt, g, sum(later), lo, hi)
     if not want_min:
-        low = -costs[-1] - 1  # stands in for None: every candidate using it is < 0
-        b = [low if v is None else v for v in nxt[: hi + 1]]
-        for m in range(lo, hi + 1):
-            best = max(map(add, costs, b[m::-g]))
-            row[m] = best if best >= 0 else None
-        return None
-    return _fill_convex_min(row, nxt, g, lo, hi, costs, state)
+        return _fill_power_max(row, nxt, g, later[0], lo, hi, p)
+    return _fill_convex_min(row, nxt, g, lo, hi, [z**p for z in range(hi // g + 1)], state)
+
+
+def _fill_inf_min(row: list, nxt: list, g: int, rest: int, lo: int, hi: int) -> None:
+    """The p == inf min case of _fill_row; rest is the sum of the later
+    generators, so nxt[x] >= ceil(x / rest). The scan starts at the balanced
+    z0 = m // (g + rest) and goes up while z can still beat the best value
+    found, down while that lower bound on nxt still can."""
+    for m in range(lo, hi + 1):
+        best = None
+        z0 = m // (g + rest)
+        z, off = z0, m - z0 * g
+        while off >= 0 and (best is None or z < best):
+            sub = nxt[off]
+            if sub is not None:
+                v = sub if sub > z else z
+                if best is None or v < best:
+                    best = v
+            z += 1
+            off -= g
+        z, off = z0 - 1, m - (z0 - 1) * g
+        while z >= 0 and (best is None or -(-off // rest) < best):
+            sub = nxt[off]
+            if sub is not None:
+                v = sub if sub > z else z
+                if best is None or v < best:
+                    best = v
+            z -= 1
+            off += g
+        row[m] = best
+
+
+def _fill_power_max(row: list, nxt: list, g: int, g_next: int, lo: int, hi: int, p: int) -> None:
+    """The p >= 2 max case of _fill_row. Every later generator is >= g_next
+    and sum(z_j^p) <= (sum z_j)^p, so nxt[x] * h <= x^p with h = g_next^p,
+    and z is worth at most B(z) / h, B(z) = z^p h + (m - z g)^p. B is
+    convex, so z scans down from m // g until best * h >= max(B(1), B(z)).
+    """
+    h = g_next**p
+    for m in range(lo, hi + 1):
+        best = nxt[m]
+        z = m // g
+        off = m - z * g
+        b1 = h + (m - g) ** p
+        while z:
+            c = z**p
+            if best is not None:
+                bz = c * h + off**p
+                if best * h >= (bz if bz > b1 else b1):
+                    break
+            sub = nxt[off]
+            if sub is not None and (best is None or c + sub > best):
+                best = c + sub
+            z -= 1
+            off += g
+        row[m] = best
 
 
 def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, costs: list, state):
@@ -294,12 +349,14 @@ def _extend(ts: _TableSet, size: int, p, mode: str) -> None:
     want_min = mode == "min"
     g = gens[-1]
     last = rows[-1]
-    last.extend([None] * (size + 1 - lo))
+    last.extend(repeat(None, size + 1 - lo))
     for m in range(-(-lo // g) * g, size + 1, g):
         last[m] = m // g if p == INF else _coord_cost(m // g, p)
     for i in range(len(gens) - 2, -1, -1):
-        rows[i].extend([None] * (size + 1 - lo))
-        ts.states[i] = _fill_row(rows[i], rows[i + 1], gens[i], lo, size, p, want_min, ts.states[i])
+        rows[i].extend(repeat(None, size + 1 - lo))
+        ts.states[i] = _fill_row(
+            rows[i], rows[i + 1], gens[i], gens[i + 1 :], lo, size, p, want_min, ts.states[i]
+        )
     ts.size = size
 
 
@@ -314,7 +371,7 @@ def _table_set(S: NumericalSemigroup, n_max: int, p, mode: str) -> _TableSet:
         ts = S._table_cache.get(key)
         if ts is not None and ts.size >= n_max:
             return ts
-        need = (n_max + 1) * _bytes_per_amount(gens, n_max, p, mode)
+        need = (n_max + 1) * _bytes_per_amount(gens, n_max, p, mode) + _fixed_bytes(gens)
         if need > TABLE_BYTE_LIMIT:
             raise BudgetExceededError(
                 f"tables up to {n_max} would take {need} bytes,"
@@ -327,7 +384,8 @@ def _table_set(S: NumericalSemigroup, n_max: int, p, mode: str) -> _TableSet:
             # grow by half, or to the most the limit admits; the count per
             # amount never falls as the size grows
             size = ts.size + ts.size // 2
-            cap = TABLE_BYTE_LIMIT // _bytes_per_amount(gens, size, p, mode) - 1
+            free = TABLE_BYTE_LIMIT - _fixed_bytes(gens)
+            cap = free // _bytes_per_amount(gens, size, p, mode) - 1
             size = max(n_max, min(size, cap))
         try:
             _extend(ts, size, p, mode)
@@ -354,7 +412,9 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
     Coordinate i takes the largest value whose combination with the
     optimum of the remainder over the later generators equals the target;
     the remainder's own optimum, ts.rows[i + 1][m], is the next target.
-    Where the fill stored that value in the row's state it is read.
+    Where the fill stored that value in the row's state it is read. For
+    p in {1, inf} a coordinate never exceeds the target it combines to, so
+    the scan starts at the target when that lies below m // g_i.
     """
     gens, tables = ts.gens, ts.rows
     stored = _stores_coords(p, mode)
@@ -367,7 +427,8 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
         else:
             target = tables[i][m]
             nxt = tables[i + 1]
-            for cand in range(m // g, -1, -1):
+            top = min(m // g, target) if p == 1 or p == INF else m // g
+            for cand in range(top, -1, -1):
                 sub = nxt[m - cand * g]
                 if sub is None:
                     continue
@@ -532,61 +593,65 @@ def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
     k = len(gens)
     N = sum(g * g for g in gens)
 
-    def J(z: list[int]) -> int:
-        return sum((N * zi - n * gi) ** 2 for zi, gi in zip(z, gens))
-
     z = [c * n for c in _bezout_combination(gens)]
-    moves = []
+    r = [N * zi - n * gi for zi, gi in zip(z, gens)]  # J(z) = sum(r_i^2)
+    moves = []  # z += t * v, v = g_j / d at i and -g_i / d at j
     for i in range(k):
         for j in range(i + 1, k):
             d = gcd(gens[i], gens[j])
-            v = [0] * k
-            v[i] = gens[j] // d
-            v[j] = -gens[i] // d
-            moves.append(v)
+            vi, vj = gens[j] // d, -gens[i] // d
+            moves.append((i, j, vi, vj, N * N * (vi * vi + vj * vj)))
     improved = True
     while improved:
         improved = False
-        for v in moves:
-            num = sum(
-                (N * zi - n * gi) * N * vi for zi, gi, vi in zip(z, gens, v)
-            )
-            den = sum((N * vi) ** 2 for vi in v)
+        for i, j, vi, vj, den in moves:
+            # J(z + t v) - J(z) = 2 t num + t^2 den
+            num = N * (r[i] * vi + r[j] * vj)
             t = _round_div(-num, den)
-            if t:
-                z2 = [zi + t * vi for zi, vi in zip(z, v)]
-                if J(z2) < J(z):
-                    z = z2
-                    improved = True
+            if t and 2 * t * num + t * t * den < 0:
+                z[i] += t * vi
+                z[j] += t * vj
+                r[i] += t * N * vi
+                r[j] += t * N * vj
+                improved = True
 
-    best_j = J(z)
+    best_j = sum(ri * ri for ri in r)
     best_z = tuple(z)
     gk = gens[-1]
+    # tail[i] = G_i = g_i^2 + ... + g_k^2. With acc the J of coordinates < i
+    # and rem what they leave, the real minimum of J over the coordinates
+    # >= i is acc + D^2 / G_i, D = N rem - n G_i: no leaf below a node with
+    # D^2 >= (best_j - acc) G_i can come in under best_j.
+    tail = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        tail[i] = tail[i + 1] + gens[i] * gens[i]
+    partial = [0] * k
 
-    def dfs(i: int, partial: list[int], acc: int) -> None:
+    def dfs(i: int, rem: int, acc: int) -> None:
         nonlocal best_j, best_z
-        if acc > best_j:
-            return
         if i == k - 1:
-            rem = n - sum(pv * gv for pv, gv in zip(partial, gens[:-1]))
-            if rem % gk:
-                return
-            zk = rem // gk
-            tot = acc + (N * zk - n * gk) ** 2
-            if tot < best_j:
-                best_j = tot
-                best_z = tuple(partial + [zk])
+            if rem % gk == 0:  # and acc + J(zk) < best_j, as the parent checked
+                partial[i] = rem // gk
+                best_j = acc + (N * partial[i] - n * gk) ** 2
+                best_z = tuple(partial)
             return
-        gi = gens[i]
+        gi, G = gens[i], tail[i + 1]
         s = isqrt(best_j)
         lo = -((s - n * gi) // N)
         hi = (n * gi + s) // N
         center = _round_div(n * gi, N)
-        for zv in sorted(range(lo, hi + 1), key=lambda v: abs(v - center)):
-            w = (N * zv - n * gi) ** 2
-            dfs(i + 1, partial + [zv], acc + w)
+        for d in range(max(center - lo, hi - center) + 1):
+            # lo..hi by distance from center, the lower one first on a tie
+            for zv in (center - d, center + d) if d else (center,):
+                if lo <= zv <= hi:
+                    sub_acc = acc + (N * zv - n * gi) ** 2
+                    sub_rem = rem - zv * gi
+                    D = N * sub_rem - n * G
+                    if D * D < (best_j - sub_acc) * G:
+                        partial[i] = zv
+                        dfs(i + 1, sub_rem, sub_acc)
 
-    dfs(0, [], 0)
+    dfs(0, n, 0)
     value = sum(v * v for v in best_z)
     return ExtremalResult(value, best_z)
 

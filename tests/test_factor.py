@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
+from min2_oracle import min2_integer_minimizer as min2_oracle
 
 from plengths import (
     BudgetExceededError,
@@ -276,9 +277,11 @@ class TestTableByteLimit:
 
     def test_growth_stops_at_the_limit(self, monkeypatch):
         S = NumericalSemigroup((3, 5, 7))
-        # 1001 amounts of 3 list slots and one int object: up to 1200 only
-        # the row of 3 holds values above 255 (at most 1200 // 3 = 400)
-        monkeypatch.setattr(factor, "TABLE_BYTE_LIMIT", (3 * 8 + sys.getsizeof(400)) * 1001)
+        # 1001 amounts of 3 row slots, a slot of the returned copy and one int
+        # object, and the fixed bytes: up to 1200 only the row of 3 holds
+        # values above 255 (at most 1200 // 3 = 400)
+        limit = (4 * 8 + sys.getsizeof(400)) * 1001 + factor._fixed_bytes(S.generators)
+        monkeypatch.setattr(factor, "TABLE_BYTE_LIMIT", limit)
         extremal_values(S, 800, 1, "min")
         extremal_values(S, 900, 1, "min")  # growing by half would reach 1200
         assert S._table_cache[(1, "min")].size == 1000
@@ -287,15 +290,29 @@ class TestTableByteLimit:
             extremal_values(S, 1001, 1, "min")
 
     def test_estimate_covers_the_traced_peak(self):
-        """The count includes the int objects of a p = 1 table's values."""
-        S, n = NumericalSemigroup((3, 5, 7)), 10**5
-        tracemalloc.start()
-        try:
-            extremal_values(S, n, 1, "max")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (n + 1) * factor._bytes_per_amount(S.generators, n, 1, "max") >= peak
+        """The count includes the int objects of a p >= 1 table's values, the
+        copy extremal_values returns and the rows' fixed bytes, which are all
+        a p = 0 table has beyond its slots."""
+        for p, mode, n in [
+            (0, "min", 10**5),
+            (1, "max", 10**5),
+            (2, "max", 3 * 10**4),
+            (3, "max", 3 * 10**4),
+            (INF, "min", 3 * 10**4),
+        ]:
+            # a small build first: allocations made once per process, such as
+            # the frame CPython 3.10 keeps per function after its first call,
+            # are not table bytes
+            extremal_values(NumericalSemigroup((3, 5, 7)), 100, p, mode)
+            S = NumericalSemigroup((3, 5, 7))
+            tracemalloc.start()
+            try:
+                extremal_values(S, n, p, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_amount = factor._bytes_per_amount(S.generators, n, p, mode)
+            assert (n + 1) * per_amount + factor._fixed_bytes(S.generators) >= peak, (p, mode)
 
     def test_table_goes_with_its_semigroup(self):
         S = NumericalSemigroup((3, 5, 7))
@@ -361,6 +378,18 @@ class TestMin2:
         assert min2_shift_check(semigroups[(2, 3)], 0)
         assert min2_shift_check(semigroups[(2, 3)], 12)
         assert min2_shift_check(semigroups[(3, 5, 7)], 40)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [(2, 3), (3, 5, 7), (6, 9, 20), (5, 7, 9, 11), (4, 6, 9), (7, 8, 9, 10, 11)],
+        ids=lambda g: ",".join(map(str, g)),
+    )
+    def test_matches_oracle(self, gens):
+        """Same value and same witness as the plain sorted box search: the
+        witness is printed, so a tie broken differently changes the output."""
+        S = NumericalSemigroup(gens)
+        for n in [*range(1000), 10**6 + 7, 10**30 + 1]:
+            assert min2_integer_minimizer(S, n) == min2_oracle(S, n), n
 
     def test_huge_n_is_exact(self, semigroups):
         gens = (3, 5, 7)

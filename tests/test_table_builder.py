@@ -145,6 +145,10 @@ def test_concurrent_growth_matches_brute_force():
     assert not errors, errors
 
 
+def _combine(c, sub, p):
+    return max(c, sub) if p == INF else _coord_cost(c, p) + sub
+
+
 def _scan_witness(tables, gens, n, p):
     """The witness rule by scanning multiplicities down from m // g against
     the oracle rows: the largest coordinate meeting the target."""
@@ -153,11 +157,36 @@ def _scan_witness(tables, gens, n, p):
         nxt = tables[i + 1]
         c = next(
             c for c in range(m // g, -1, -1)
-            if nxt[m - c * g] is not None and _coord_cost(c, p) + nxt[m - c * g] == tables[i][m]
+            if nxt[m - c * g] is not None and _combine(c, nxt[m - c * g], p) == tables[i][m]
         )
         z.append(c)
         m -= c * g
     return (*z, m // gens[-1])
+
+
+@pytest.mark.parametrize(
+    "gens", [(2, 3), (7, 8, 9, 10, 11), (11, 13, 17, 19, 23)], ids=lambda g: ",".join(map(str, g))
+)
+def test_bounded_scans_match_brute_force(gens):
+    """p >= 2 max and inf min stop their scans on bounds that are tightest
+    for few generators, close consecutive generators or large ones."""
+    S = NumericalSemigroup(gens)
+    for p, mode in ((2, "max"), (3, "max"), (4, "max"), (INF, "min")):
+        _assert_rows_match(S, [500, 1200, 2000], p, mode)
+
+
+@pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
+def test_witness_scans_from_target_match_scan(gens):
+    """p in {1, inf} witnesses start their scan at the target when it lies
+    below m // g: the result must be the scan from m // g over the oracle."""
+    S = NumericalSemigroup(gens)
+    for p in (1, INF):
+        for mode in MODES:
+            oracle = brute_tables(gens, 700, p, mode)
+            for n in range(701):
+                if oracle[0][n] is not None:
+                    got = factor.extremal_plength(S, n, p, mode).witness
+                    assert got == _scan_witness(oracle, gens, n, p), (p, mode, n)
 
 
 @pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
