@@ -161,11 +161,6 @@ def _coord_cost(z: int, p) -> int:
     return z**p
 
 
-def _better(v, best, want_min: bool) -> bool:
-    """v improves on best, where None (infeasible) loses to everything."""
-    return v is not None and (best is None or (v < best if want_min else v > best))
-
-
 def _stores_coords(p, mode: str) -> bool:
     """The fill keeps each cell's witness coordinate in the row's state."""
     return mode == "min" and p != INF and p >= 2
@@ -208,24 +203,32 @@ def _fill_row(
     for m < lo. state is what the previous fill of this row returned (None
     before the first); the new state is returned.
     """
+    # None is infeasible: it loses every comparison below
     if p == 1:
         for m in range(lo, hi + 1):
             best = nxt[m]
             prev = row[m - g] if m >= g else None
-            if prev is not None and _better(prev + 1, best, want_min):
-                best = prev + 1
+            if prev is not None:
+                v = prev + 1
+                if best is None or (v < best if want_min else v > best):
+                    best = v
             row[m] = best
         return None
     if p == 0:
         run = state or [None] * g  # per class: opt of nxt over amounts < m
         for m in range(lo, hi + 1):
             r = m % g
-            best, prev = nxt[m], run[r]
-            if prev is not None and _better(prev + 1, best, want_min):
-                best = prev + 1
+            sub, prev = nxt[m], run[r]
+            best = sub
+            if prev is not None:
+                v = prev + 1
+                if best is None or (v < best if want_min else v > best):
+                    best = v
+                if sub is not None and (sub < prev if want_min else sub > prev):
+                    run[r] = sub
+            elif sub is not None:
+                run[r] = sub
             row[m] = best
-            if _better(nxt[m], prev, want_min):
-                run[r] = nxt[m]
         return run
     if p == INF and not want_min:
         run, first = state or ([None] * g, [None] * g)  # per class: max, first feasible
@@ -247,7 +250,7 @@ def _fill_row(
         return _fill_inf_min(row, nxt, g, sum(later), lo, hi)
     if not want_min:
         return _fill_power_max(row, nxt, g, later[0], lo, hi, p)
-    return _fill_convex_min(row, nxt, g, lo, hi, [z**p for z in range(hi // g + 1)], state)
+    return _fill_convex_min(row, nxt, g, lo, hi, p, state)
 
 
 def _fill_inf_min(row: list, nxt: list, g: int, rest: int, lo: int, hi: int) -> None:
@@ -305,35 +308,43 @@ def _fill_power_max(row: list, nxt: list, g: int, g_next: int, lo: int, hi: int,
         row[m] = best
 
 
-def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, costs: list, state):
+def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, p: int, state):
     """The p >= 2 min case of _fill_row, one residue class r at a time.
 
     With b[t] = nxt[r + t*g], best(r + j*g) = min over t <= j of
-    costs[j - t] + b[t]. An infeasible b[t] becomes `big`, above every finite
+    (j - t)^p + b[t]. An infeasible b[t] becomes `big`, above every finite
     candidate, so the matrix stays Monge and its leftmost argmin stays
-    monotone in j. The state is (argmin, argz): argmin[r] is that argmin at
-    the last amount filled in class r, a lower bound on the argmin of every
-    later amount, and argz[m] is the largest optimal z = j - t at m = r + j*g,
-    t the leftmost argmin: the coordinate a witness takes there.
+    monotone in j. Each candidate is encoded as the key value * W + t, with
+    W = hi // g + 2 > t, so the least key carries both the least value and
+    its leftmost argmin, and divmod(key, W) reads them back. The state is
+    (argmin, argz): argmin[r] is that argmin at the last amount filled in
+    class r, a lower bound on the argmin of every later amount, and argz[m]
+    is the largest optimal z = j - t at m = r + j*g, t the leftmost argmin:
+    the coordinate a witness takes there.
     """
-    big = costs[-1] + max((v for v in nxt[: hi + 1] if v is not None), default=0) + 1
+    top_z = hi // g
+    W = top_z + 2
+    big = top_z**p + max((v for v in nxt if v is not None), default=0) + 1
+    # rcost[top_z - z] = z^p * W: the costs of t = tl..th at row j are the
+    # slice rcost[top_z - j + tl : top_z - j + th + 1]
+    rcost = [z**p * W for z in range(top_z, -1, -1)]
     argmin, argz = state or ([0] * g, array("l"))
     argz.frombytes(bytes((hi + 1 - lo) * argz.itemsize))
     for r in range(min(g, hi + 1)):
         j0, j1 = max(0, -((r - lo) // g)), (hi - r) // g
         if j0 > j1:
             continue
-        b = [big if v is None else v for v in nxt[r : hi + 1 : g]]
+        keys = [(big if v is None else v) * W + t for t, v in enumerate(nxt[r : hi + 1 : g])]
         pending = [(j0, j1, argmin[r], j1)]  # rows jl..jh, argmins within tl..th
         while pending:
             jl, jh, tl, th = pending.pop()
             j = (jl + jh) // 2
-            top = min(th, j)
-            cand = list(map(add, costs[j - top : j - tl + 1][::-1], b[tl : top + 1]))
-            best = min(cand)
-            t = tl + cand.index(best)
-            row[r + j * g] = best if best < big else None
-            argz[r + j * g] = j - t
+            top = th if th < j else j
+            off = top_z - j
+            best, t = divmod(min(map(add, rcost[off + tl : off + top + 1], keys[tl : top + 1])), W)
+            m = r + j * g
+            row[m] = best if best < big else None
+            argz[m] = j - t
             if j == j1:
                 argmin[r] = t
             if jl < j:
@@ -414,9 +425,14 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
     the remainder's own optimum, ts.rows[i + 1][m], is the next target.
     Where the fill stored that value in the row's state it is read. For
     p in {1, inf} a coordinate never exceeds the target it combines to, so
-    the scan starts at the target when that lies below m // g_i.
+    the scan starts at the target when that lies below m // g_i. For p == 1
+    every part of the remainder is at most g_k, so its length is at least
+    (m - z g_i) / g_k, and z + that length <= target bounds z by
+    (target g_k - m) // (g_k - g_i), which for a minimum lies near the
+    answer where m // g_i lies Θ(m / g_k) above it.
     """
     gens, tables = ts.gens, ts.rows
+    gk = gens[-1]
     stored = _stores_coords(p, mode)
     z: list[int] = []
     m = n
@@ -427,7 +443,12 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
         else:
             target = tables[i][m]
             nxt = tables[i + 1]
-            top = min(m // g, target) if p == 1 or p == INF else m // g
+            if p == 1:
+                top = min(m // g, target, (target * gk - m) // (gk - g))
+            elif p == INF:
+                top = min(m // g, target)
+            else:
+                top = m // g
             for cand in range(top, -1, -1):
                 sub = nxt[m - cand * g]
                 if sub is None:
@@ -543,7 +564,7 @@ def closed_len_recurrence(S: NumericalSemigroup, n: int, mode: str) -> int:
     if S.contains(m - step):  # m - step <= threshold, and >= 0 as step <= threshold
         m -= step
         steps += 1
-    return extremal_plength(S, m, 1, mode).value + steps
+    return _table_set(S, m, 1, mode).rows[0][m] + steps
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Fraction per class. No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-from math import lcm
+from math import comb, lcm
 from operator import sub
 from typing import NamedTuple
 
@@ -62,8 +62,31 @@ def _differences(w: SampleWindow, period: int, depth: int):
         yield level
 
 
+def _level_samples(values, t: int, period: int) -> tuple[int, ...]:
+    """Entries n = 0, the middle and the last of level t of the period-step
+    difference table of values, each the exact binomial sum
+    sum over i of (-1)^(t-i) * C(t, i) * values[n + i * period]; () when
+    level t is empty. A nonzero sample proves the level is not all zero
+    without building it."""
+    last = len(values) - t * period - 1
+    if last < 0:
+        return ()
+    coef = [(-1) ** (t - i) * comb(t, i) for i in range(t + 1)]
+    return tuple(
+        sum(c * values[n + i * period] for i, c in enumerate(coef))
+        for n in (0, last // 2, last)
+    )
+
+
 def differences_vanish(w: SampleWindow, degree: int, period: int) -> bool:
-    """(degree+1)-fold period-step difference of the window is identically zero."""
+    """(degree+1)-fold period-step difference of the window is identically zero.
+
+    Three sampled entries of that level are tried first: a nonzero one
+    answers False. Otherwise the whole table is built, which also raises
+    WindowTooShortError where the window cannot absorb the differences.
+    """
+    if any(_level_samples(w.values, degree + 1, period)):
+        return False
     for level in _differences(w, period, degree + 1):
         pass
     return not any(level)
@@ -169,8 +192,10 @@ def qp_fit(w: SampleWindow, degree: int, period: int) -> FitReport:
 def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
     """Smallest-period fit on the grid, ties broken by smallest degree.
 
-    For each period the window is differenced once more per degree until a
-    level vanishes. Returns a negative report after exhausting every
+    A period is skipped when three sampled entries of each difference level
+    1..degree_max + 1 include a nonzero one, so that no level vanishes;
+    otherwise the window is differenced once more per degree until a level
+    vanishes. Returns a negative report after exhausting every
     (degree, period) with degree <= degree_max and period <= period_max.
     """
     if degree_max < 0 or period_max < 1:
@@ -180,6 +205,8 @@ def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
             f"need at least {(degree_max + 2) * period_max} samples, got {len(w)}"
         )
     for period in range(1, period_max + 1):
+        if all(any(_level_samples(w.values, t, period)) for t in range(1, degree_max + 2)):
+            continue
         for t, level in enumerate(_differences(w, period, degree_max + 1)):
             if t and not any(level):
                 return FitReport(w.start, len(w), _read_off(w.start, prev, t - 1, period))

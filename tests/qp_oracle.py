@@ -1,9 +1,11 @@
-"""Reference quasipolynomial fit: exact Lagrange interpolation per residue class.
+"""Reference quasipolynomial fit: exact Lagrange interpolation per residue class,
+and the difference test by building the whole table.
 
 The library reads degree and leading coefficients off a table of integer
-differences. This module recovers every coefficient of every class the slow,
-obvious way, so the tests can check the library's answers against it and
-re-evaluate each sample.
+differences, and tests a level by sampling a few of its entries first. This
+module recovers every coefficient of every class the slow, obvious way, and
+builds every difference level in full, so the tests can check the library's
+answers against it and re-evaluate each sample.
 """
 
 from fractions import Fraction
@@ -56,3 +58,21 @@ def evaluate(rows: list[list[Fraction]], n: int) -> Fraction:
 def reproduces(w, rows: list[list[Fraction]]) -> bool:
     """Every sample of the window equals the quasipolynomial's value."""
     return all(evaluate(rows, w.start + i) == v for i, v in enumerate(w.values))
+
+
+def difference_levels(values, period: int, depth: int) -> list[list[int]]:
+    """Levels 0..depth of the period-step difference table, each in full;
+    a level with no entries stays empty."""
+    levels = [list(values)]
+    for _ in range(depth):
+        prev = levels[-1]
+        levels.append([b - a for a, b in zip(prev, prev[period:])])
+    return levels
+
+
+def differences_vanish(w, degree: int, period: int) -> bool:
+    """Every entry of the (degree+1)-fold period-step difference is zero.
+    The caller keeps that level nonempty."""
+    level = difference_levels(w.values, period, degree + 1)[-1]
+    assert level, "window too short for the difference test"
+    return not any(level)

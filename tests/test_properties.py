@@ -3,7 +3,7 @@ from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qp_oracle import lagrange_fit, reproduces
+from qp_oracle import differences_vanish, lagrange_fit, reproduces
 
 from plengths import (
     NumericalSemigroup,
@@ -13,7 +13,6 @@ from plengths import (
     plength,
     qp_detect,
 )
-from plengths.quasipoly import differences_vanish
 
 INF = math.inf
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qp_oracle import lagrange_fit, reproduces
+from qp_oracle import difference_levels, lagrange_fit, reproduces
+from qp_oracle import differences_vanish as oracle_vanish
 
 from plengths import (
     NumericalSemigroup,
@@ -16,6 +17,7 @@ from plengths import (
     verify_qp_attributes,
 )
 from plengths.quasipoly import (
+    _level_samples,
     _period_minimal,
     differences_vanish,
     expected_rows,
@@ -217,11 +219,16 @@ def _window(data, period, degree, length):
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2), st.data())
 def test_detect_equals_grid_scan(period, degree, data):
     """Incremental detection equals a from-scratch scan of the grid with
-    differences_vanish, smallest period first, then smallest degree."""
+    the full-table difference test, smallest period first, then smallest
+    degree."""
     w = _window(data, period, degree, data.draw(st.integers(min_value=24, max_value=40)))
+    _assert_detect_equals_grid_scan(w)
+
+
+def _assert_detect_equals_grid_scan(w):
     rep = qp_detect(w, 2, 6)
     scan = next(
-        ((d, p) for p in range(1, 7) for d in range(3) if differences_vanish(w, d, p)), None
+        ((d, p) for p in range(1, 7) for d in range(3) if oracle_vanish(w, d, p)), None
     )
     if scan is None:
         assert not rep.fitted
@@ -239,5 +246,67 @@ def test_period_minimal_at_maximal_divisors(period, degree, data):
     true_period = data.draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
     extra = data.draw(st.integers(min_value=0, max_value=period))
     w = _window(data, true_period, degree, (degree + 2) * period + extra)
-    every = not any(differences_vanish(w, degree, d) for d in range(1, period) if period % d == 0)
+    every = not any(oracle_vanish(w, degree, d) for d in range(1, period) if period % d == 0)
     assert _period_minimal(w, degree, period) == every
+
+
+def _hidden_difference_window(data, period, t, length):
+    """A window whose t-fold period-step difference level has `length`
+    entries and is zero except at one entry that is neither the first,
+    the middle nor the last, so every sample of the level is zero while
+    the level is not: the difference test must build it in full."""
+    hidden = data.draw(
+        st.sampled_from(
+            [n for n in range(1, length - 1) if n not in ((length - 1) // 2, length // 2)]
+        )
+    )
+    level = [0] * length
+    level[hidden] = data.draw(st.sampled_from([-3, -1, 1, 2]))
+    vals = [data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(t * period)]
+    for n, d in enumerate(level):
+        # d is the binomial sum over vals[n + i * period], i = 0..t, whose
+        # i = t term has coefficient 1: solve for that term
+        rest = sum((-1) ** (t - i) * math.comb(t, i) * vals[n + i * period] for i in range(t))
+        vals.append(d - rest)
+    return SampleWindow(data.draw(st.integers(min_value=0, max_value=20)), tuple(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=24, max_value=40),
+    st.data(),
+)
+def test_zero_samples_fall_back_to_the_full_table(period, t, length, data):
+    """A level whose sampled entries are all zero but which is not all zero
+    is not reported as vanishing, by differences_vanish, _period_minimal
+    or qp_detect."""
+    w = _hidden_difference_window(data, period, t, length)
+    assert not any(_level_samples(w.values, t, period))
+    assert oracle_vanish(w, t - 1, period) is False
+    assert differences_vanish(w, t - 1, period) is False
+    proper = [d for d in range(1, 2 * period) if 2 * period % d == 0]
+    every = not any(oracle_vanish(w, t - 1, d) for d in proper)
+    assert _period_minimal(w, t - 1, 2 * period) == every
+    _assert_detect_equals_grid_scan(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2), st.data())
+def test_difference_test_equals_full_table(period, degree, data):
+    """Sampling first changes no answer of differences_vanish, and the
+    samples are the full table's entries at n = 0, the middle and the last."""
+    true_period = data.draw(st.integers(min_value=1, max_value=4))
+    length = data.draw(st.integers(min_value=(degree + 2) * period, max_value=40))
+    w = _window(data, true_period, degree, length)
+    for d in range(3):
+        if len(w) > (d + 1) * period:
+            assert differences_vanish(w, d, period) == oracle_vanish(w, d, period)
+        else:
+            with pytest.raises(WindowTooShortError):
+                differences_vanish(w, d, period)
+    for t, level in enumerate(difference_levels(w.values, period, 3)):
+        last = len(level) - 1
+        want = (level[0], level[last // 2], level[last]) if level else ()
+        assert _level_samples(w.values, t, period) == want

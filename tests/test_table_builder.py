@@ -175,10 +175,13 @@ def test_bounded_scans_match_brute_force(gens):
         _assert_rows_match(S, [500, 1200, 2000], p, mode)
 
 
-@pytest.mark.parametrize("gens", GENERATORS, ids=lambda g: ",".join(map(str, g)))
+@pytest.mark.parametrize(
+    "gens", GENERATORS + [(11, 13, 17, 19, 23)], ids=lambda g: ",".join(map(str, g))
+)
 def test_witness_scans_from_target_match_scan(gens):
     """p in {1, inf} witnesses start their scan at the target when it lies
-    below m // g: the result must be the scan from m // g over the oracle."""
+    below m // g, and p = 1 also at (target * g_k - m) // (g_k - g): the
+    result must be the scan from m // g over the oracle."""
     S = NumericalSemigroup(gens)
     for p in (1, INF):
         for mode in MODES:
@@ -200,3 +203,58 @@ def test_stored_coordinates_match_scan(gens):
             if oracle[0][n] is not None:
                 got = factor.extremal_plength(S, n, p, "min").witness
                 assert got == _scan_witness(oracle, gens, n, p), (p, n)
+
+
+
+def _assert_keyed_fill_matches(ts, oracle, largest):
+    """Every row of a p >= 2 min table set and every coordinate it stored
+    equal the oracle rows and the largest optimal z of each feasible cell."""
+    size = ts.size
+    for i in range(len(ts.gens) - 1):
+        want = oracle[i][: size + 1]
+        assert ts.rows[i][: size + 1] == want, (size, i)
+        argz = ts.states[i][1]
+        got = [None if v is None else argz[m] for m, v in enumerate(want)]
+        assert got == largest[i][: size + 1], (size, i)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [(3, 5, 7), (4, 5, 6), (5, 7, 9, 11), (7, 8, 9, 10, 11)],
+    ids=lambda g: ",".join(map(str, g)),
+)
+def test_keyed_argmin_through_changing_widths(gens):
+    """p >= 2 min fills encode a candidate as value * W + t, W = hi // g + 2
+    set afresh by every fill, and decode the least key by divmod. Grown
+    through sizes that change W, rows and stored coordinates must equal the
+    oracle. For every amount where z = 0 ties with a larger z, a table is
+    also grown to end exactly there, so the tie sits at t = hi // g, the
+    last position of its class and the largest t a key holds."""
+    hi = 400
+    for p in (2, 3):
+        oracle = brute_tables(gens, hi, p, "min")
+        largest, ties = [], set()
+        for i, g in enumerate(gens[:-1]):
+            nxt, col = oracle[i + 1], []
+            for m, v in enumerate(oracle[i]):
+                zs = [
+                    z for z in range(m // g + 1)
+                    if v is not None and nxt[m - z * g] is not None and z**p + nxt[m - z * g] == v
+                ]
+                col.append(zs[-1] if zs else None)
+                if len(zs) > 1 and zs[0] == 0:
+                    ties.add(m)
+            largest.append(col)
+        assert ties, p
+        S = NumericalSemigroup(gens)
+        for n in (0, 1, 4, 9, 10, 23, 60, 61, 150, 260):
+            _assert_keyed_fill_matches(factor._table_set(S, n, p, "min"), oracle, largest)
+        for m in sorted(ties):
+            S = NumericalSemigroup(gens)
+            for n in (m // 2, m):
+                ts = factor._table_set(S, n, p, "min")
+                assert ts.size == n
+                _assert_keyed_fill_matches(ts, oracle, largest)
+            assert factor.extremal_plength(S, m, p, "min").witness == _scan_witness(
+                oracle, gens, m, p
+            )
