@@ -4,25 +4,28 @@ M(a, b) is the multiplicative monoid {1} union {x >= 1 : x == a mod b},
 which is closed under multiplication exactly when a^2 == a mod b. The
 divisors of x are exponent vectors over its prime support, kept as bitsets
 by ExponentLattice; the atoms dividing x are the members that are no sum of
-two, found with one sumset. Factorizations are enumerated over those atoms in
-nondecreasing order; p = 1 is found without enumerating, from one bitset per
-k of the sums of exactly k atoms. Atoms up to a limit come from one sieve.
-Elements are factored by trial division up to a fixed bound with a primality
-proof for the cofactor left over; an input whose cofactor is composite or
-cannot be proven prime raises BudgetExceededError.
+two, found with one sumset. The extremal p-lengths for p in {0, 1, inf}, and
+the least factorization attaining each, are read off one suffix table over
+those atoms without enumerating; p >= 2 takes the optimum over all
+factorizations, enumerated over the atoms in nondecreasing order. Atoms up
+to a limit come from one sieve. Elements are factored by trial division up
+to a fixed bound with a primality proof for the cofactor left over; an input
+whose cofactor is composite or cannot be proven prime raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
-from math import gcd, isqrt
+from math import isqrt
+from operator import mul
 
 from . import factor as _factor
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
 
-# Largest bitset table of the p = 1 search, and largest atom sieve, in bytes.
+# Largest suffix table of ExponentLattice, and largest atom sieve, in bytes.
 REACH_BYTE_LIMIT = 64 << 20
 
 # Trial division stops at this divisor; a cofactor below its square is prime.
@@ -92,32 +95,49 @@ def _divisors(x: int) -> list[int]:
     return ds
 
 
+def _most(e, u) -> int:
+    """The largest m with m * u <= e, for a nonzero vector u."""
+    return min(ej // uj for ej, uj in zip(e, u) if uj)
+
+
 class ExponentLattice:
     """Sets of exponent vectors v <= e, each set held as one int.
 
     Vector v is bit sum(v[j] * strides[j]). Digit j runs over 2 * (e[j] + 1)
     values, so the sum of two vectors <= e never carries into the next digit:
     adding a vector u to every member of a set is a shift by u's index, and
-    masking with `valid` keeps the sums that are still <= e.
+    masking with `valid` keeps the sums that are still <= e. Adding m * u
+    takes m such steps, since one shift by m times u's index could carry.
+
+    The extremal p-lengths of e for p in {0, 1, inf} come from one suffix
+    table over the atoms u_0, u_1, ... in canonical order: T[i][s] holds the
+    vectors that the atoms i, i+1, ... sum to from state s, where the state
+    counts what the objective still needs (atoms left for p = 1, distinct
+    atoms left for p = 0, nothing for p = inf min at a fixed cap, and whether
+    a multiplicity of the maximum is still owed for p = inf max).
     """
 
-    __slots__ = ("e", "strides", "nbits", "valid")
+    __slots__ = ("e", "strides", "nbits", "valid", "top")
 
     def __init__(self, e) -> None:
         self.e = tuple(e)
         strides = []
-        stride = valid = 1
+        stride = 1
         for ej in self.e:
             strides.append(stride)
-            # ej + 1 copies of the lower digits' mask, one per value of digit j
-            valid *= ((1 << (ej + 1) * stride) - 1) // ((1 << stride) - 1)
             stride *= 2 * (ej + 1)
         self.strides = tuple(strides)
         self.nbits = stride
+        self.check_size(2)  # the mask below, and the fewest bitsets any table holds
+        valid = 1
+        for ej, stride in zip(self.e, strides):
+            # ej + 1 copies of the lower digits' mask, one per value of digit j
+            valid *= ((1 << (ej + 1) * stride) - 1) // ((1 << stride) - 1)
         self.valid = valid
+        self.top = self.index(self.e)
 
     def index(self, v) -> int:
-        return sum(vj * s for vj, s in zip(v, self.strides))
+        return sum(map(mul, v, self.strides))
 
     def check_size(self, count: int) -> None:
         """Raise BudgetExceededError before count bitsets outgrow REACH_BYTE_LIMIT."""
@@ -128,41 +148,120 @@ class ExponentLattice:
                 f" more than {REACH_BYTE_LIMIT}"
             )
 
-    def layers(self, offs: list[int]):
-        """Yield L_0 = {0}, L_1, ... until empty: L_k holds the sums of
-        exactly k vectors, repetition allowed, from those at indices offs."""
-        layer = 1
-        while layer:
-            yield layer
-            nxt = 0
-            for off in offs:
-                nxt |= layer << off
-            layer = nxt & self.valid
-
-    def capped_reach(self, offs: list[int], cap: int) -> int:
-        """Sums that use each of the vectors with indices offs at most cap times."""
-        reach = 1
-        for off in offs:
-            step = reach
-            for _ in range(cap):
-                step = (step << off) & self.valid
-                if not step:
-                    break
-                reach |= step
-        return reach
-
-    def suffix_layers(self, offs: list[int], kmax: int) -> list[list[int]]:
-        """L[i][k] for k <= kmax: sums of exactly k vectors from offs[i:]."""
+    def reach(self, s: int, off: int, lo: int = 0, hi: int | None = None) -> int:
+        """The union of s + m * u over lo <= m <= hi (m unbounded when hi is
+        None), for the vector u with index off."""
         valid = self.valid
-        out = [[1] + [0] * kmax]
-        for off in reversed(offs):
-            nxt = out[-1]
-            row = [1]
-            for k in range(1, kmax + 1):
-                row.append(nxt[k] | ((row[-1] << off) & valid))
-            out.append(row)
-        out.reverse()
+        for _ in range(lo):
+            s = (s << off) & valid
+        out = s
+        while s and (hi is None or lo < hi):
+            s = (s << off) & valid
+            out |= s
+            lo += 1
         return out
+
+    def _suffix_table(self, offs: list[int], width: int, row, keep: bool) -> list[list[int]]:
+        """T[i] = row(T[i + 1], offs[i]) from T[len(offs)] = [{0}, {}, ...],
+        `width` states each: every T[i] when keep, else [T[0]] alone."""
+        self.check_size((len(offs) + 1 if keep else 2) * width)
+        table = [[1] + [0] * (width - 1)]
+        for off in reversed(offs):
+            if keep:
+                table.append(row(table[-1], off))
+            else:
+                table[0] = row(table[0], off)
+        table.reverse()
+        return table
+
+    def _solve(self, atoms: list, p, mode: str, keep: bool):
+        """(optimum, suffix table, start state, next state of (state, m)) for
+        the atom vectors `atoms`; the table is None when keep is false."""
+        offs = [self.index(u) for u in atoms]
+        top, valid = self.top, self.valid
+        if p == _factor.INF and mode == "max":
+            full = 1
+            for off in offs:
+                full = self.reach(full, off)
+            # the largest j with j * u <= e and e - j * u a sum of atoms or 0
+            best = max(
+                (j for u, off in zip(atoms, offs) for j in range(1, _most(self.e, u) + 1)
+                 if full >> (top - j * off) & 1),
+                default=0,
+            )
+            if not best:
+                raise NotInMonoidError(f"exponents {self.e} are no sum of atoms")
+            if not keep:
+                return best, None, None, None
+
+            def row(nxt, off):  # state 1: a multiplicity >= best is still owed
+                owed = self.reach(nxt[1], off) | self.reach(nxt[0], off, best)
+                return [self.reach(nxt[0], off), owed]
+
+            table = self._suffix_table(offs, 2, row, True)
+            return best, table, 1, lambda s, m: 0 if m >= best else s
+        if p == _factor.INF:
+            for cap in range(1, max(self.e) + 1):
+                table = self._suffix_table(
+                    offs, 1, lambda nxt, off: [self.reach(nxt[0], off, 0, cap)], keep
+                )
+                if table[0][0] >> top & 1:
+                    return cap, table, 0, lambda s, m: 0 if m <= cap else None
+            raise NotInMonoidError(f"exponents {self.e} are no sum of atoms")
+        # k atoms have at least k * min |u| prime factors in all, and at
+        # least k * min u_j of prime j
+        kmax = sum(self.e) // min(map(sum, atoms))
+        for ej, low in zip(self.e, map(min, zip(*atoms))):
+            if low:
+                kmax = min(kmax, ej // low)
+        if p == 1:  # T[i][k]: sums of exactly k atoms from i on
+
+            def row(nxt, off):
+                out = [1]
+                for k in range(1, len(nxt)):
+                    out.append(nxt[k] | ((out[-1] << off) & valid))
+                return out
+
+        else:  # T[i][t]: sums with exactly t distinct atoms from i on
+            kmax = min(kmax, len(atoms))
+
+            def row(nxt, off):
+                return [1] + [nxt[t] | self.reach(nxt[t - 1], off, 1) for t in range(1, len(nxt))]
+
+        table = self._suffix_table(offs, kmax + 1, row, keep)
+        hits = [k for k, sums in enumerate(table[0]) if sums >> top & 1]
+        if not hits:
+            raise NotInMonoidError(f"exponents {self.e} are no sum of atoms")
+        value = hits[0] if mode == "min" else hits[-1]
+        if p == 1:
+            return value, table, value, lambda s, m: s - m if m <= s else None
+        return value, table, value, lambda s, m: s - 1 if s else None
+
+    def optimum(self, atoms: list, p, mode: str) -> int:
+        """Least or greatest p-length, p in {0, 1, inf}, over the ways to
+        write e as a sum of the vectors `atoms`. Raises NotInMonoidError when
+        there is none."""
+        return self._solve(atoms, p, mode, False)[0]
+
+    def least_optimum(self, atoms: list, p, mode: str) -> tuple[int, list[tuple[int, int]]]:
+        """The optimum and, as (atom position, multiplicity) pairs, the
+        lexicographically least multiset of `atoms`, taken in their order,
+        that attains it: at each atom the least m >= 1 whose remainder the
+        later atoms complete, else none of it."""
+        value, table, state, step = self._solve(atoms, p, mode, True)
+        rem, at = list(self.e), self.top
+        out = []
+        for i, u in enumerate(atoms):
+            off = self.index(u)
+            nxt = table[i + 1]
+            for m in range(1, _most(rem, u) + 1):
+                s = step(state, m)
+                if s is not None and nxt[s] >> (at - m * off) & 1:
+                    out.append((i, m))
+                    state, at = s, at - m * off
+                    rem = [r - m * uj for r, uj in zip(rem, u)]
+                    break
+        return value, out
 
 
 class Acm:
@@ -223,7 +322,7 @@ class Acm:
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
             return [()]
-        atom_divs = [u for u, _, _ in self._atom_divisors(x)[2]]
+        atom_divs = [u for u, _, _ in self._atom_divisors(x)[1]]
         atoms = set(atom_divs)
         out: list[AcmFactorization] = []
 
@@ -252,15 +351,18 @@ class Acm:
         out.sort()
         return out
 
-    def extremal_plength(self, x: int, p, mode: str) -> _factor.ExtremalResult:
+    def extremal_plength(
+        self, x: int, p, mode: str, cap: int = DEFAULT_ACM_CAP
+    ) -> _factor.ExtremalResult:
         """Exact optimum of the p-length over all factorizations of x.
 
         The p-length of a multiset is that of its multiplicity vector. The
         witness is the lexicographically least canonical multiset among the
-        optima; for x == 1 the value is 0 with the empty witness. p == 1 is
-        solved by reachability over x's divisor lattice and raises
-        BudgetExceededError when its bitsets would exceed REACH_BYTE_LIMIT
-        bytes; other exponents take the optimum over factorizations(x).
+        optima; for x == 1 the value is 0 with the empty witness. For p in
+        {0, 1, inf} both come from the suffix tables of x's divisor lattice
+        (ExponentLattice.least_optimum), which raise BudgetExceededError when
+        they would exceed REACH_BYTE_LIMIT bytes. p >= 2 stays on enumeration:
+        the optimum over factorizations(x, cap).
         """
         _factor.check_exponent(p)
         if mode not in ("min", "max"):
@@ -269,29 +371,27 @@ class Acm:
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
             return _factor.ExtremalResult(0, ())
-        if p == 1:
-            return self._extremal_length(x, mode)
-        best = None
-        best_fz = None
-        for fz in self.factorizations(x):  # canonical ascending order fixes tie-breaking
-            v = _factor.plength([m for _, m in fz], p)
-            if best is None or (v < best if mode == "min" else v > best):
-                best = v
-                best_fz = fz
-        if best is None:
-            raise NotInMonoidError(f"{x} has no factorization in {self!r}")
-        return _factor.ExtremalResult(best, best_fz)
+        if p in (0, 1, _factor.INF):
+            lat, atoms = self._atom_divisors(x)
+            value, mults = lat.least_optimum([v for _, _, v in atoms], p, mode)
+            return _factor.ExtremalResult(value, tuple((atoms[i][0], m) for i, m in mults))
+
+        def length(fz):
+            return _factor.plength([m for _, m in fz], p)
+
+        # min and max return the first optimum in canonical ascending order
+        best = (min if mode == "min" else max)(self.factorizations(x, cap), key=length)
+        return _factor.ExtremalResult(length(best), best)
 
     def _atom_divisors(self, x: int):
-        """(prime powers of x, its lattice, atoms dividing x ascending as
-        (atom, bit index, number of prime factors)) for a non-unit member x."""
+        """(x's divisor lattice, atoms dividing x ascending as (atom, bit
+        index, exponent vector)) for a non-unit member x."""
         pps = _prime_powers(x)
         lat = ExponentLattice([e for _, e in pps])
-        lat.check_size(2)
-        divs = [(1, 0, 0)]  # (divisor, bit index, number of prime factors)
+        divs = [(1, 0, ())]  # (divisor, bit index, exponent vector)
         for (q, e), stride in zip(pps, lat.strides):
             steps = [(q**i, i * stride, i) for i in range(e + 1)]
-            divs = [(d * f, at + s, w + i) for d, at, w in divs for f, s, i in steps]
+            divs = [(d * f, at + s, v + (i,)) for d, at, v in divs for f, s, i in steps]
         res = self.a % self.b
         members = [t for t in divs[1:] if t[0] % self.b == res]  # divs[0] is 1
         # an atom of the monoid dividing x is a member that is no sum of two
@@ -302,47 +402,7 @@ class Acm:
         sums = 0
         for _, at, _ in members:
             sums |= mset << at
-        return pps, lat, sorted(t for t in members if not sums >> t[1] & 1)
-
-    def _extremal_length(self, x: int, mode: str) -> _factor.ExtremalResult:
-        """The p == 1 case of extremal_plength, for a non-unit member x."""
-        pps, lat, atoms = self._atom_divisors(x)
-        # k atoms have at least k * min(w) prime factors, and k * v_q(g)
-        # factors q for g the gcd of the atoms
-        kmax = sum(lat.e) // min(w for _, _, w in atoms)
-        g = gcd(*(u for u, _, _ in atoms))
-        for q, e in pps:
-            low = 0
-            while g % q == 0:
-                g //= q
-                low += 1
-            if low:
-                kmax = min(kmax, e // low)
-        lat.check_size((len(atoms) + 1) * (kmax + 1))
-        layers = lat.suffix_layers([at for _, at, _ in atoms], kmax)
-        top = lat.index(lat.e)
-        hits = [k for k, layer in enumerate(layers[0]) if layer >> top & 1]
-        value = k = hits[0] if mode == "min" else hits[-1]  # every member factors
-        # least canonical multiset: at each atom in ascending order, the
-        # smallest positive multiplicity the later atoms can complete, else 0
-        rem, at_rem = x, top
-        witness = []
-        for i, (u, at, _) in enumerate(atoms):
-            if not k:
-                break
-            nxt = layers[i + 1]
-            um = 1
-            for m in range(1, k + 1):
-                um *= u
-                if rem % um:
-                    break
-                if nxt[k - m] >> (at_rem - m * at) & 1:
-                    witness.append((u, m))
-                    rem //= um
-                    at_rem -= m * at
-                    k -= m
-                    break
-        return _factor.ExtremalResult(value, tuple(witness))
+        return lat, sorted(t for t in members if not sums >> t[1] & 1)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b}

@@ -4,14 +4,14 @@ Elements are kept as exponent triples (e2, e5, e7) for 2^e2 * 5^e5 * 7^e7;
 the powers studied here leave machine words almost immediately. Membership
 and atomhood have a complete exponent test: u lies in the monoid iff e2 >= 1
 and e2 + e5 is even, and a member is an atom iff (e2, e5) == (2, 0) or
-e2 == 1 with e5 odd. Everything else in the module is exact search over
-exponent vectors: maximizing the number of distinct atoms in a factorization
-(branch and bound over atom subsets), minimizing or maximizing total
-multiplicity and minimizing peak multiplicity (bitset reachability over the
-exponent vectors below x^n, shared with acm), maximizing peak multiplicity
-(one atom power at a time), closed forms for the distinct-atom maximum of
-powers of 28 and of 40, a self-verifying factorization family for powers of
-70, and growth-series experiments.
+e2 == 1 with e5 odd, so the atoms dividing a power come in closed form. The
+least and greatest total (p = 1) and peak (p = inf) multiplicity of a power
+are read off the suffix tables of acm.ExponentLattice over those atoms. The
+distinct-atom maximum (p = 0) is a branch and bound over atom subsets: it
+reaches powers such as 70^385, whose exponent lattice is far beyond the
+tables' size limit. The rest is theory: closed forms for the distinct-atom
+maximum of powers of 28 and of 40, a self-verifying factorization family for
+powers of 70, good and evil atoms, and growth-series experiments.
 """
 
 from __future__ import annotations
@@ -125,34 +125,28 @@ def ell0_max_exact(x: SmoothElement, n: int) -> int:
         acc += w
         hi += 1
 
-    def search(t: int) -> bool:
+    def dfs(t: int, start: int, cnt: int, s2: int, s5: int, s7: int, wsum: int) -> bool:
+        """Whether t - cnt more atoms from atoms[start:] complete a support."""
         nonlocal nodes
-        if sum(weights[:t]) > budget57 or t > e.e2:
-            return False
+        nodes += 1
+        if nodes > DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError("distinct-atom search exceeded node budget")
+        if cnt == t:
+            return _residual_ok(e.e2 - s2, e.e5 - s5, e.e7 - s7)
+        need = t - cnt
+        for j in range(start, na - need + 1):
+            u = atoms[j]
+            if s2 + u.e2 > e.e2 or s5 + u.e5 > e.e5 or s7 + u.e7 > e.e7:
+                continue
+            rest = sum(weights[j + 1 : j + need])
+            if wsum + weights[j] + rest > budget57:
+                break  # atoms are weight-sorted, later ones only heavier
+            if dfs(t, j + 1, cnt + 1, s2 + u.e2, s5 + u.e5, s7 + u.e7, wsum + weights[j]):
+                return True
+        return False
 
-        def dfs(start: int, cnt: int, s2: int, s5: int, s7: int, wsum: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > DEFAULT_NODE_BUDGET:
-                raise BudgetExceededError("distinct-atom search exceeded node budget")
-            if cnt == t:
-                return _residual_ok(e.e2 - s2, e.e5 - s5, e.e7 - s7)
-            need = t - cnt
-            for j in range(start, na - need + 1):
-                u = atoms[j]
-                if s2 + u.e2 > e.e2 or s5 + u.e5 > e.e5 or s7 + u.e7 > e.e7:
-                    continue
-                rest = sum(weights[j + 1 : j + need])
-                if wsum + weights[j] + rest > budget57:
-                    break  # atoms are weight-sorted, later ones only heavier
-                if dfs(j + 1, cnt + 1, s2 + u.e2, s5 + u.e5, s7 + u.e7, wsum + weights[j]):
-                    return True
-            return False
-
-        return dfs(0, 0, 0, 0, 0, 0)
-
-    for t in range(hi, 0, -1):
-        if search(t):
+    for t in range(hi, 0, -1):  # t <= hi fits both budgets with the lightest atoms
+        if dfs(t, 0, 0, 0, 0, 0, 0):
             return t
     return 0
 
@@ -263,74 +257,17 @@ def count_good_atoms(x: SmoothElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact extremal multiplicities for powers. Supported: distinct-atom count
-# (p = 0, max; the branch and bound above), total multiplicity (p = 1, both
-# directions) and peak multiplicity (p = inf, both directions). Total and
-# minimum peak are reachability over the exponent vectors below x^n
-# (acm.ExponentLattice): the sums of exactly k atoms form one bitset per k,
-# and the sums using each atom at most c times one bitset per cap c.
+# Exact extremal multiplicities for powers.
 # ---------------------------------------------------------------------------
-
-
-def _power_lattice(x: SmoothElement, n: int):
-    """x^n's exponents, their ExponentLattice and the bit index of each atom."""
-    e = _power(x, n)
-    lat = ExponentLattice(e)
-    return e, lat, [lat.index(u) for u in atom_divisors(e)]
-
-
-def _l1_power(x: SmoothElement, n: int, mode: str) -> int:
-    """Fewest or most atoms whose sum is the exponent vector of x^n."""
-    e, lat, offs = _power_lattice(x, n)
-    top = lat.index(e)
-    best = None
-    for k, layer in enumerate(lat.layers(offs)):  # every atom has e2 >= 1: k <= e2
-        if layer >> top & 1:
-            best = k
-            if mode == "min":
-                break
-    if best is None:
-        raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")
-    return best
-
-
-def _linf_max_power(x: SmoothElement, n: int) -> int:
-    """max over atoms u and j with u^j dividing x^n and a member (or 1) left."""
-    e = _power(x, n)
-    best = 0
-    for u in atom_divisors(e):
-        j = e.e2 // u.e2
-        if u.e5:
-            j = min(j, e.e5 // u.e5)
-        if u.e7:
-            j = min(j, e.e7 // u.e7)
-        while j > best:
-            if _residual_ok(e.e2 - j * u.e2, e.e5 - j * u.e5, e.e7 - j * u.e7):
-                best = j
-                break
-            j -= 1
-    return best
-
-
-def _linf_min_power(x: SmoothElement, n: int) -> int:
-    """Least cap c admitting a factorization with every multiplicity <= c."""
-    e, lat, offs = _power_lattice(x, n)
-    top = lat.index(e)
-    cap = 1
-    while not lat.capped_reach(offs, cap) >> top & 1:
-        cap += 1
-        if cap > e.e2:
-            raise NotInMonoidError(f"{tuple(x)}^{n} has no factorization")
-    return cap
 
 
 def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
     """Exact extremal p-length of x^n for p in {0, 1, inf}.
 
-    p == 0 is supported for mode 'max' only (the distinct-atom search).
+    p == 0 is supported for mode 'max' only (the distinct-atom search). The
+    base x need not be a member when x^n is: x^n that is no member raises
+    NotInMonoidError.
     """
-    if not smooth_is_member(x):
-        raise NotInMonoidError(f"{tuple(x)} is not a member")
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("min", "max"):
@@ -339,11 +276,10 @@ def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
         if mode != "max":
             raise ValueError("p = 0 is only supported with mode 'max'")
         return ell0_max_exact(x, n)
-    if p == 1:
-        return _l1_power(x, n, mode)
-    if p == _factor.INF:
-        return _linf_max_power(x, n) if mode == "max" else _linf_min_power(x, n)
-    raise ValueError("supported exponents for powers are 0, 1 and inf")
+    if p not in (1, _factor.INF):
+        raise ValueError("supported exponents for powers are 0, 1 and inf")
+    e = _power(x, n)
+    return ExponentLattice(e).optimum(atom_divisors(e), p, mode)
 
 
 class GrowthSeries(NamedTuple):

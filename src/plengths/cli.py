@@ -159,7 +159,7 @@ def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
             {"acm": M.to_json(), "x": args.x, "factorizations": [factorization_to_json(f) for f in fzs]}
         )
     if args.command == "plength":
-        res = M.extremal_plength(args.x, args.p, args.mode)
+        res = M.extremal_plength(args.x, args.p, args.mode, cfg.budget)
         return 0, _json_text(
             {
                 "acm": M.to_json(),

@@ -1,13 +1,15 @@
-"""Differential tests of the exponent-vector reachability searches.
+"""Differential tests of the exponent-lattice suffix tables.
 
 The memoized recursions below are the searches acm46 used before its bitset
-layers; they are kept here as slow, obvious oracles. Acm.extremal_plength at
-p = 1 is checked against the optimum over the full enumeration, value and
-witness. The enumeration finds its atoms with the same sumset as p = 1, so it
-is checked in turn against a recursion over all divisors that tests each one
-with the per-element Acm.is_atom, and the atom sieve against trial division.
+tables; they are kept here as slow, obvious oracles for power_extremal.
+Acm.extremal_plength at p in {0, 1, inf} is checked against the optimum over
+the full enumeration, value and witness. The enumeration finds its atoms with
+the same sumset as the tables, so it is checked in turn against a recursion
+over all divisors that tests each one with the per-element Acm.is_atom, and
+the atom sieve against trial division.
 """
 
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -20,12 +22,15 @@ from plengths import acm as acm_mod
 from plengths.acm import ExponentLattice, _prime_powers
 from plengths.acm46 import (
     SmoothElement,
-    _l1_power,
-    _linf_min_power,
     _power,
     atom_divisors,
+    ell0_max_exact,
+    power_extremal,
     smooth_from_int,
 )
+from plengths.factor import plength
+
+INF = math.inf
 
 
 def memo_l1_power(x: SmoothElement, n: int, mode: str) -> int:
@@ -108,11 +113,11 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def enumerated_optimum(M: Acm, x: int, mode: str):
-    """First optimum of the total multiplicity in canonical order."""
+def enumerated_optimum(M: Acm, x: int, p, mode: str):
+    """First optimum of the p-length in canonical order."""
     best = best_fz = None
     for fz in M.factorizations(x):
-        v = sum(m for _, m in fz)
+        v = plength([m for _, m in fz], p)
         if best is None or (v < best if mode == "min" else v > best):
             best, best_fz = v, fz
     return best, best_fz
@@ -146,6 +151,12 @@ def trial_division_is_atom(M: Acm, x: int) -> bool:
 # "no factorization" error. The minimum peak of 4^n is n, so its cap grows.
 POWER_BASES = (28, 40, 70, 490, 4, 10, 20, 98)
 MONOIDS = ((4, 6), (1, 4), (6, 6), (1, 3), (3, 6), (1, 10))
+# (monoid, {base: largest power}) compared with enumeration at p in {0, inf}
+POWER_CASES = (
+    ((4, 6), {70: 8, 28: 8, 40: 8, 490: 5}),
+    ((1, 4), {441: 8, 225: 8}),
+    ((6, 6), {72: 8, 108: 7}),
+)
 
 
 class TestLattice:
@@ -161,11 +172,25 @@ class TestLattice:
 
     def test_layers_count_atoms(self):
         lat = ExponentLattice((4, 0, 2))
-        offs = [lat.index(u) for u in atom_divisors(SmoothElement(4, 0, 2))]
-        layers = list(lat.layers(offs))
-        top = lat.index((4, 0, 2))
-        assert [k for k, layer in enumerate(layers) if layer >> top & 1] == [2]
-        assert len(layers) == 3  # L_3 is empty: every atom has e2 = 2
+        atoms = atom_divisors(SmoothElement(4, 0, 2))
+        # every atom has e2 = 2, so exactly two atoms sum to (4, 0, 2)
+        assert [lat.optimum(atoms, 1, mode) for mode in ("min", "max")] == [2, 2]
+        assert lat.least_optimum(atoms, 1, "min") == (2, [(0, 1), (2, 1)])
+
+    def test_no_sum_raises(self):
+        lat = ExponentLattice((1, 1))
+        for p in (0, 1, INF):
+            for mode in ("min", "max"):
+                with pytest.raises(NotInMonoidError):
+                    lat.optimum([(1, 0)], p, mode)
+
+    def test_shifts_add_one_atom_at_a_time(self):
+        # 1125 = 3^2 * 5^3 in M(1, 4), whose atoms here are 5 and 9, and whose
+        # peak maximum is 3. The digit of 3 holds six values, 0..5, so adding
+        # three 9s in one shift would carry 3^6 out of it and mark 9^3 as 5.
+        res = Acm(1, 4).extremal_plength(1125, INF, "max")
+        assert (res.value, res.witness) == (3, ((5, 3), (9, 1)))
+        assert (res.value, res.witness) == enumerated_optimum(Acm(1, 4), 1125, INF, "max")
 
 
 class TestPowerSearchesMatchMemoOracles:
@@ -174,18 +199,32 @@ class TestPowerSearchesMatchMemoOracles:
         x = smooth_from_int(base)
         for n in range(1, 11):
             for mode in ("min", "max"):
-                assert outcome(_l1_power, x, n, mode) == outcome(memo_l1_power, x, n, mode), (
-                    base, n, mode,
-                )
+                assert outcome(power_extremal, x, n, 1, mode) == outcome(
+                    memo_l1_power, x, n, mode
+                ), (base, n, mode)
 
     @pytest.mark.parametrize("base", POWER_BASES)
     def test_min_peak(self, base):
         x = smooth_from_int(base)
         for n in range(1, 11):
-            assert outcome(_linf_min_power, x, n) == outcome(memo_linf_min_power, x, n), (base, n)
+            assert outcome(power_extremal, x, n, INF, "min") == outcome(
+                memo_linf_min_power, x, n
+            ), (base, n)
 
     def test_min_peak_of_four_grows(self):
-        assert [_linf_min_power(smooth_from_int(4), n) for n in range(1, 11)] == list(range(1, 11))
+        x = smooth_from_int(4)
+        assert [power_extremal(x, n, INF, "min") for n in range(1, 11)] == list(range(1, 11))
+
+    @pytest.mark.parametrize("base", (28, 40, 70, 490))
+    def test_matches_generic_monoid(self, base):
+        # acm46's closed-form atoms and the branch and bound against Acm(4, 6)
+        M, x = Acm(4, 6), smooth_from_int(base)
+        for n in range(1, 7):
+            assert ell0_max_exact(x, n) == M.extremal_plength(base**n, 0, "max").value, n
+            for p in (1, INF):
+                for mode in ("min", "max"):
+                    got = power_extremal(x, n, p, mode)
+                    assert got == M.extremal_plength(base**n, p, mode).value, (n, p, mode)
 
 
 class TestLengthMatchesEnumeration:
@@ -195,9 +234,24 @@ class TestLengthMatchesEnumeration:
         for x in range(2, 3000):
             if not M.contains(x):
                 continue
-            for mode in ("min", "max"):
-                res = M.extremal_plength(x, 1, mode)
-                assert (res.value, res.witness) == enumerated_optimum(M, x, mode), (x, mode)
+            for p in (0, 1, INF):
+                for mode in ("min", "max"):
+                    res = M.extremal_plength(x, p, mode)
+                    want = enumerated_optimum(M, x, p, mode)
+                    assert (res.value, res.witness) == want, (x, p, mode)
+
+    @pytest.mark.parametrize(
+        "monoid,bases", POWER_CASES, ids=[f"{a}-{b}" for (a, b), _ in POWER_CASES]
+    )
+    def test_powers(self, monoid, bases):
+        M = Acm(*monoid)
+        for base, top in bases.items():
+            for n in range(1, top + 1):
+                for p in (0, INF):
+                    for mode in ("min", "max"):
+                        res = M.extremal_plength(base**n, p, mode)
+                        want = enumerated_optimum(M, base**n, p, mode)
+                        assert (res.value, res.witness) == want, (base, n, p, mode)
 
     @pytest.mark.parametrize("a,b", MONOIDS)
     def test_enumeration_matches_divisor_recursion(self, a, b):
@@ -225,9 +279,10 @@ class TestLengthMatchesEnumeration:
 
     def test_power_of_70(self):
         M = Acm(4, 6)
-        for mode in ("min", "max"):
-            res = M.extremal_plength(70**8, 1, mode)
-            assert (res.value, res.witness) == enumerated_optimum(M, 70**8, mode)
+        for p in (0, 1, INF):
+            for mode in ("min", "max"):
+                res = M.extremal_plength(70**8, p, mode)
+                assert (res.value, res.witness) == enumerated_optimum(M, 70**8, p, mode)
 
     def test_argument_errors_come_first(self):
         M = Acm(4, 6)
@@ -240,16 +295,39 @@ class TestLengthMatchesEnumeration:
 
 
 class TestBudgets:
-    def test_reach_size_refused_before_layers_are_built(self):
-        # 70^22: 277 rows of 23 bitsets of 97 336 bits, about 77 MB of layers
+    @pytest.mark.parametrize(
+        "p,n",
+        # 70^22: 277 rows of 23 bitsets of 97 336 bits, about 77 MB, for
+        # p in {0, 1}; p = inf has 2 bitsets a row, and 70^36 has 704 rows
+        # of 405 224 bits, about 71 MB
+        [
+            pytest.param(0, 22, id="0"),
+            pytest.param(1, 22, id="1"),
+            pytest.param(INF, 36, id="inf"),
+        ],
+    )
+    def test_reach_size_refused_before_layers_are_built(self, p, n):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                Acm(4, 6).extremal_plength(70**22, 1, "max")
+                Acm(4, 6).extremal_plength(70**n, p, "max")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < acm_mod.REACH_BYTE_LIMIT // 4
+
+    def test_lattice_refused_before_its_mask_is_built(self):
+        # 70^385 has 772^3 bits per set, 57 MB: two sets pass the limit, and
+        # the big-int division that builds the mask would take minutes
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceededError):
+                power_extremal(smooth_from_int(70), 385, 1, "min")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and time.perf_counter() - t0 < 1.0
 
     def test_atom_sieve_refused_before_it_is_allocated(self):
         tracemalloc.start()

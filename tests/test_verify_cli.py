@@ -32,6 +32,12 @@ VERIFY_CLAIM_IDS = {
     "acm verify --a 1 --b 4": {"power-sandwich", "hilbert-441", "stable-power-atoms"},
     "acm verify --a 6 --b 6": {"power-sandwich", "two-atom-split"},
 }
+# The benchmark's acm commands that are no report: stdout and exit code only.
+ACM_COMMANDS = (
+    "acm growth --a 4 --b 6 --x 70 --p inf --mode min --nmax 16",
+    f"acm plength --a 4 --b 6 --x {70**11} --p 1 --mode max",
+    f"acm plength --a 4 --b 6 --x {70**12} --p 1 --mode max",
+)
 
 
 class TestHarness:
@@ -135,6 +141,17 @@ class TestCli:
         data = json.loads(out)
         assert len(data["factorizations"]) == 2
 
+    def test_acm_plength_budget(self, capsys):
+        """--budget caps the enumeration behind p >= 2 as it caps acm
+        factorizations: both refuse 70^6, which has more than 5."""
+        x = str(70**6)
+        for extra in (["plength", "--p", "2", "--mode", "max"], ["factorizations"]):
+            argv = ["acm", extra[0], "--a", "4", "--b", "6", "--x", x, *extra[1:], "--budget", "5"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: more than 5 factorizations of {x}\n"
+
     def test_acm_atoms(self, capsys):
         code, out = self.run(capsys, "acm", "atoms", "--a", "1", "--b", "4", "--limit", "30")
         assert code == 0 and json.loads(out)["atoms"] == [5, 9, 13, 17, 21, 29]
@@ -180,12 +197,13 @@ class TestCli:
         assert code == 0
         assert json.loads(target.read_text())["frobenius"] == 1
 
-    @pytest.mark.parametrize("command", sorted(VERIFY_CLAIM_IDS))
+    @pytest.mark.parametrize("command", sorted(VERIFY_CLAIM_IDS) + list(ACM_COMMANDS))
     def test_verify_matches_reference(self, capsys, command):
         code, out = self.run(capsys, *command.split())
         digest = hashlib.sha256(out.encode()).hexdigest()[:16]
         assert (code, digest) == (REFS[command]["rc"], REFS[command]["digest"])
-        assert {c["claim"] for c in json.loads(out)["checks"]} == VERIFY_CLAIM_IDS[command]
+        if command in VERIFY_CLAIM_IDS:
+            assert {c["claim"] for c in json.loads(out)["checks"]} == VERIFY_CLAIM_IDS[command]
 
     def test_empty_window_fails(self, capsys):
         code, out = self.run(capsys, "ns", "verify", "--gens", "2,3", "--window", "0:5")
