@@ -16,11 +16,11 @@ BudgetExceededError.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from math import isqrt
 from operator import mul
 
-from . import factor as _factor
+from .common import INF, ExtremalResult, _prime_powers, check_exponent, plength
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
@@ -28,63 +28,8 @@ DEFAULT_ACM_CAP = 1_000_000
 # Largest suffix table of ExponentLattice, and largest atom sieve, in bytes.
 REACH_BYTE_LIMIT = 64 << 20
 
-# Trial division stops at this divisor; a cofactor below its square is prime.
-TRIAL_DIVISION_LIMIT = 10**6
-
-# Miller-Rabin with the first 13 primes as bases is exact below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
 AcmFactorization = tuple[tuple[int, int], ...]
 """Canonical multiset of atoms: ((atom, multiplicity), ...) sorted by atom."""
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _MR_EXACT_BELOW."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        y = pow(a, d, n)
-        if y == 1 or y == n - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_powers(x: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of x, ascending by prime.
-
-    Raises BudgetExceededError when the part of x without prime factors up
-    to TRIAL_DIVISION_LIMIT is neither below that limit squared nor proven
-    prime, i.e. it has two or more large prime factors or is too large for
-    the exact primality test.
-    """
-    out = []
-    for d in chain((2,), range(3, TRIAL_DIVISION_LIMIT + 1, 2)):
-        if d * d > x:
-            break
-        if x % d == 0:
-            e = 0
-            while x % d == 0:
-                e += 1
-                x //= d
-            out.append((d, e))
-    if x > 1:
-        if x > TRIAL_DIVISION_LIMIT**2 and not (x < _MR_EXACT_BELOW and _is_prime(x)):
-            raise BudgetExceededError(
-                f"cannot factor {x}: no prime factor up to {TRIAL_DIVISION_LIMIT}"
-                " and not provably prime"
-            )
-        out.append((x, 1))
-    return out
 
 
 def _divisors(x: int) -> list[int]:
@@ -131,8 +76,13 @@ class ExponentLattice:
         self.check_size(2)  # the mask below, and the fewest bitsets any table holds
         valid = 1
         for ej, stride in zip(self.e, strides):
-            # ej + 1 copies of the lower digits' mask, one per value of digit j
-            valid *= ((1 << (ej + 1) * stride) - 1) // ((1 << stride) - 1)
+            # ej + 1 copies of the lower digits' mask, one per value of digit
+            # j, by doubling: each step appends up to as many copies as it has
+            copies = 1
+            while copies <= ej:
+                more = min(copies, ej + 1 - copies)
+                valid |= (valid & ((1 << more * stride) - 1)) << copies * stride
+                copies += more
         self.valid = valid
         self.top = self.index(self.e)
 
@@ -179,7 +129,7 @@ class ExponentLattice:
         the atom vectors `atoms`; the table is None when keep is false."""
         offs = [self.index(u) for u in atoms]
         top, valid = self.top, self.valid
-        if p == _factor.INF and mode == "max":
+        if p == INF and mode == "max":
             full = 1
             for off in offs:
                 full = self.reach(full, off)
@@ -200,7 +150,7 @@ class ExponentLattice:
 
             table = self._suffix_table(offs, 2, row, True)
             return best, table, 1, lambda s, m: 0 if m >= best else s
-        if p == _factor.INF:
+        if p == INF:
             for cap in range(1, max(self.e) + 1):
                 table = self._suffix_table(
                     offs, 1, lambda nxt, off: [self.reach(nxt[0], off, 0, cap)], keep
@@ -353,7 +303,7 @@ class Acm:
 
     def extremal_plength(
         self, x: int, p, mode: str, cap: int = DEFAULT_ACM_CAP
-    ) -> _factor.ExtremalResult:
+    ) -> ExtremalResult:
         """Exact optimum of the p-length over all factorizations of x.
 
         The p-length of a multiset is that of its multiplicity vector. The
@@ -364,24 +314,24 @@ class Acm:
         they would exceed REACH_BYTE_LIMIT bytes. p >= 2 stays on enumeration:
         the optimum over factorizations(x, cap).
         """
-        _factor.check_exponent(p)
+        check_exponent(p)
         if mode not in ("min", "max"):
             raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
         if not self.contains(x):
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
-            return _factor.ExtremalResult(0, ())
-        if p in (0, 1, _factor.INF):
+            return ExtremalResult(0, ())
+        if p in (0, 1, INF):
             lat, atoms = self._atom_divisors(x)
             value, mults = lat.least_optimum([v for _, _, v in atoms], p, mode)
-            return _factor.ExtremalResult(value, tuple((atoms[i][0], m) for i, m in mults))
+            return ExtremalResult(value, tuple((atoms[i][0], m) for i, m in mults))
 
         def length(fz):
-            return _factor.plength([m for _, m in fz], p)
+            return plength([m for _, m in fz], p)
 
         # min and max return the first optimum in canonical ascending order
         best = (min if mode == "min" else max)(self.factorizations(x, cap), key=length)
-        return _factor.ExtremalResult(length(best), best)
+        return ExtremalResult(length(best), best)
 
     def _atom_divisors(self, x: int):
         """(x's divisor lattice, atoms dividing x ascending as (atom, bit

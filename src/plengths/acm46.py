@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import factor as _factor
 from .acm import ExponentLattice
+from .common import INF
 from .errors import (
     BudgetExceededError,
     ConstructionInvalidError,
@@ -276,7 +276,7 @@ def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
         if mode != "max":
             raise ValueError("p = 0 is only supported with mode 'max'")
         return ell0_max_exact(x, n)
-    if p not in (1, _factor.INF):
+    if p not in (1, INF):
         raise ValueError("supported exponents for powers are 0, 1 and inf")
     e = _power(x, n)
     return ExponentLattice(e).optimum(atom_divisors(e), p, mode)
@@ -301,7 +301,7 @@ class GrowthSeries(NamedTuple):
     def to_json(self) -> dict:
         return {
             "x": self.x.to_json(),
-            "p": "inf" if self.p == _factor.INF else self.p,
+            "p": "inf" if self.p == INF else self.p,
             "mode": self.mode,
             "points": [[n, v] for n, v in self.points],
             "fitted_exponent": self.fitted_exponent,

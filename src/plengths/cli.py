@@ -15,11 +15,8 @@ import math
 import sys
 import time
 
-from . import acm46, factor
-from .acm import Acm, factorization_to_json
+from . import acm, acm46, factor, quasipoly, semigroup
 from .errors import PlengthsError
-from .quasipoly import verify_qp_attributes
-from .semigroup import NumericalSemigroup
 from .verify import FORMATS, RunConfig, verify_acm, verify_semigroup
 
 
@@ -88,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--p", type=_parse_p, required=True)
             sub.add_argument("--mode", choices=("min", "max"), required=True)
 
-    acm = top.add_parser("acm", help="congruence monoid commands")
-    acmsub = acm.add_subparsers(dest="command", required=True)
+    acm_cmds = top.add_parser("acm", help="congruence monoid commands")
+    acmsub = acm_cmds.add_subparsers(dest="command", required=True)
     acm_flags = [_family_flags({"--a": int, "--b": int})]
     for name in ("atoms", "factorizations", "plength", "verify", "growth"):
         sub = acmsub.add_parser(name, parents=acm_flags)
@@ -121,7 +118,7 @@ def _json_text(obj) -> str:
 
 
 def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
-    S = NumericalSemigroup(args.gens)
+    S = semigroup.NumericalSemigroup(args.gens)
     if args.command == "apery":
         table = S.apery(args.modulus)
         return 0, _json_text(
@@ -140,7 +137,7 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
             {"semigroup": S.to_json(), **factor.result_to_json(args.n, args.p, args.mode, res)}
         )
     if args.command == "qp-table":
-        reports = verify_qp_attributes(S, cfg.window)
+        reports = quasipoly.verify_qp_attributes(S, cfg.window)
         ok = all(r.passed for r in reports)
         body = {"semigroup": S.to_json(), "passed": ok, "rows": [r.to_json() for r in reports]}
         return (0 if ok else 1), _json_text(body)
@@ -150,14 +147,12 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
 
 
 def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
-    M = Acm(args.a, args.b)
+    M = acm.Acm(args.a, args.b)
     if args.command == "atoms":
         return 0, _json_text({"acm": M.to_json(), "atoms": M.atoms_up_to(args.limit)})
     if args.command == "factorizations":
-        fzs = M.factorizations(args.x, cfg.budget)
-        return 0, _json_text(
-            {"acm": M.to_json(), "x": args.x, "factorizations": [factorization_to_json(f) for f in fzs]}
-        )
+        fzs = [acm.factorization_to_json(f) for f in M.factorizations(args.x, cfg.budget)]
+        return 0, _json_text({"acm": M.to_json(), "x": args.x, "factorizations": fzs})
     if args.command == "plength":
         res = M.extremal_plength(args.x, args.p, args.mode, cfg.budget)
         return 0, _json_text(
@@ -167,7 +162,7 @@ def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
                 "p": "inf" if args.p == math.inf else args.p,
                 "mode": args.mode,
                 "value": res.value,
-                "witness": factorization_to_json(res.witness),
+                "witness": acm.factorization_to_json(res.witness),
             }
         )
     if args.command == "growth":

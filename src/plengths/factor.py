@@ -13,23 +13,20 @@ All arithmetic is on Python integers, so nothing here can overflow.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 from array import array
 from itertools import repeat
 from math import gcd, isqrt
 from operator import add
-from typing import NamedTuple
 
+from .common import INF, ExtremalResult, check_exponent
 from .errors import (
     BudgetExceededError,
     NotInSemigroupError,
     ThresholdNotMetError,
 )
 from .semigroup import NumericalSemigroup
-
-INF = math.inf
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -40,33 +37,9 @@ TABLE_BYTE_LIMIT = 1 << 30
 _MODES = ("min", "max")
 
 
-class ExtremalResult(NamedTuple):
-    value: int
-    witness: tuple[int, ...]
-
-
-def check_exponent(p) -> None:
-    if p == INF:
-        return
-    if not isinstance(p, int) or p < 0:
-        raise ValueError(f"exponent must be a nonnegative integer or inf, got {p!r}")
-
-
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-
-
-def plength(z, p) -> int:
-    """p-length of an exponent vector: sum of p-th powers, max for p == inf."""
-    check_exponent(p)
-    if p == INF:
-        return max(z, default=0) if z else 0
-    if p == 0:
-        return sum(1 for v in z if v)
-    if p == 1:
-        return sum(z)
-    return sum(v**p for v in z)
 
 
 def factorizations(

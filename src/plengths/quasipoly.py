@@ -18,7 +18,7 @@ from operator import sub
 from typing import NamedTuple
 
 from . import factor
-from .acm import _prime_powers
+from .common import _prime_powers
 from .errors import WindowTooShortError
 from .semigroup import NumericalSemigroup
 

@@ -10,7 +10,8 @@ printed, so a tie broken differently would change the output.
 
 from math import gcd, isqrt
 
-from plengths.factor import ExtremalResult, _bezout_combination, _round_div
+from plengths.common import ExtremalResult
+from plengths.factor import _bezout_combination, _round_div
 
 
 def min2_integer_minimizer(S, n: int) -> ExtremalResult:

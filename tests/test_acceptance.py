@@ -34,9 +34,10 @@ from plengths.acm46 import (
     smooth_is_atom,
     smooth_is_member,
 )
+from plengths.acm_claims import omega
 from plengths.factor import closed_len_recurrence, closed_max_inf, closed_min_inf
+from plengths.ns_claims import find_second_difference_start
 from plengths.quasipoly import qp_detect, sample_extremal
-from plengths.verify import find_second_difference_start, omega
 
 INF = math.inf
 

@@ -4,7 +4,7 @@ import pytest
 
 from plengths import Acm, BudgetExceededError, NotIdempotentError, NotInMonoidError
 from plengths.acm import factorization_to_json
-from plengths.verify import omega
+from plengths.acm_claims import omega
 
 INF = math.inf
 

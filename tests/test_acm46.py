@@ -204,7 +204,7 @@ class TestPowerExtremal:
         assert [power_extremal(X40, n, INF, "max") for n in range(1, 6)] == [1, 2, 4, 5, 7]
 
     def test_power_sandwich_to_twelve(self):
-        from plengths.verify import omega
+        from plengths.acm_claims import omega
 
         for base in (28, 40, 70):
             x = smooth_from_int(base)

@@ -9,6 +9,7 @@ over all divisors that tests each one with the per-element Acm.is_atom, and
 the atom sieve against trial division.
 """
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -19,7 +20,7 @@ import pytest
 
 from plengths import Acm, BudgetExceededError, NotInMonoidError
 from plengths import acm as acm_mod
-from plengths.acm import ExponentLattice, _prime_powers
+from plengths.acm import ExponentLattice
 from plengths.acm46 import (
     SmoothElement,
     _power,
@@ -28,7 +29,7 @@ from plengths.acm46 import (
     power_extremal,
     smooth_from_int,
 )
-from plengths.factor import plength
+from plengths.common import TRIAL_DIVISION_LIMIT, _prime_powers, plength
 
 INF = math.inf
 
@@ -169,6 +170,16 @@ class TestLattice:
         assert lat.index((2, 0, 3)) == u + v
         # (1,0,2) + (1,0,2) exceeds e, so the mask drops it
         assert ((1 << u) << u) & lat.valid == 0
+
+    def test_mask_is_the_repunit_product(self):
+        # the mask as one repunit division per digit, which is quadratic
+        small = (e for k in range(4) for e in itertools.product(range(7), repeat=k))
+        for e in (*small, *((k, k, k) for k in range(1, 31))):  # 70^k = 2^k 5^k 7^k
+            lat = ExponentLattice(e)
+            want = 1
+            for ej, stride in zip(lat.e, lat.strides):
+                want *= ((1 << (ej + 1) * stride) - 1) // ((1 << stride) - 1)
+            assert lat.valid == want, e
 
     def test_layers_count_atoms(self):
         lat = ExponentLattice((4, 0, 2))
@@ -349,7 +360,7 @@ class TestBudgets:
 
     def test_two_large_primes_refused(self):
         x = 1_000_003 * 1_000_033  # both prime and above TRIAL_DIVISION_LIMIT
-        assert x > acm_mod.TRIAL_DIVISION_LIMIT**2
+        assert x > TRIAL_DIVISION_LIMIT**2
         with pytest.raises(BudgetExceededError):
             _prime_powers(x)
         with pytest.raises(BudgetExceededError):

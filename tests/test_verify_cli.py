@@ -7,7 +7,7 @@ import pytest
 
 from plengths import Acm, RunConfig, verify_acm, verify_semigroup
 from plengths.cli import main
-from plengths.verify import cube_min_candidates, find_second_difference_start
+from plengths.ns_claims import cube_min_candidates, find_second_difference_start
 
 # Reference digests of the benchmark's command lines; read only.
 REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
@@ -62,7 +62,8 @@ class TestHarness:
         # the two-atom-split property is specific to (6, 6); running the same
         # check against (1, 4) must fail and name a concrete element (125 = 5^3
         # is the first reducible member needing three atoms)
-        from plengths.verify import _check_two_atom_split, _run
+        from plengths.acm_claims import _check_two_atom_split
+        from plengths.verify import _run
 
         result = _run("two-atom-split", *_check_two_atom_split(Acm(1, 4), RunConfig(), 200))
         assert not result.passed
