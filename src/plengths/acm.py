@@ -20,7 +20,7 @@ from itertools import compress
 from math import isqrt
 from operator import mul
 
-from .common import INF, ExtremalResult, _prime_powers, check_exponent, plength
+from .common import INF, ExtremalResult, _prime_powers, check_exponent, check_mode, plength
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
@@ -315,8 +315,7 @@ class Acm:
         the optimum over factorizations(x, cap).
         """
         check_exponent(p)
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+        check_mode(mode)
         if not self.contains(x):
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:

@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .acm import ExponentLattice
-from .common import INF
+from .common import INF, check_mode
 from .errors import (
     BudgetExceededError,
     ConstructionInvalidError,
@@ -159,10 +159,7 @@ def ell0_max_28_closed(n: int) -> int:
     """k + 1 where the k-th triangular number is the last one <= n. Needs n >= 3."""
     if n < 3:
         raise ThresholdNotMetError("closed form for base 28 starts at n = 3")
-    k = 2
-    while _triangular(k + 1) <= n:
-        k += 1
-    return k + 1
+    return (math.isqrt(8 * n + 1) - 1) // 2 + 1
 
 
 def ell0_max_40_closed(n: int) -> int:
@@ -270,8 +267,7 @@ def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_mode(mode)
     if p == 0:
         if mode != "max":
             raise ValueError("p = 0 is only supported with mode 'max'")

@@ -117,6 +117,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _verified(report, timing: bool) -> tuple[int, str]:
+    print(f"verified {len(report.checks)} checks in {report.elapsed:.2f}s", file=sys.stderr)
+    return (0 if report.passed else 1), _json_text(report.to_json(timing))
+
+
 def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
     S = semigroup.NumericalSemigroup(args.gens)
     if args.command == "apery":
@@ -141,9 +146,7 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
         ok = all(r.passed for r in reports)
         body = {"semigroup": S.to_json(), "passed": ok, "rows": [r.to_json() for r in reports]}
         return (0 if ok else 1), _json_text(body)
-    report = verify_semigroup(S, cfg)
-    print(f"verified {len(report.checks)} checks in {report.elapsed:.2f}s", file=sys.stderr)
-    return (0 if report.passed else 1), _json_text(report.to_json(args.timing))
+    return _verified(verify_semigroup(S, cfg), args.timing)
 
 
 def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
@@ -172,9 +175,7 @@ def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
         if cfg.fmt == "csv":
             return 0, series.to_csv()
         return 0, _json_text(series.to_json())
-    report = verify_acm(M, cfg)
-    print(f"verified {len(report.checks)} checks in {report.elapsed:.2f}s", file=sys.stderr)
-    return (0 if report.passed else 1), _json_text(report.to_json(args.timing))
+    return _verified(verify_acm(M, cfg), args.timing)
 
 
 def _run_config(args) -> RunConfig:

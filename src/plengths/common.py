@@ -14,6 +14,10 @@ from .errors import BudgetExceededError
 
 INF = math.inf
 
+# Largest table (factor's extremal tables, an Apery table) a query may build,
+# in bytes as its builder counts them.
+TABLE_BYTE_LIMIT = 1 << 30
+
 # Trial division stops at this divisor; a cofactor below its square is prime.
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -33,6 +37,11 @@ def check_exponent(p) -> None:
         return
     if not isinstance(p, int) or p < 0:
         raise ValueError(f"exponent must be a nonnegative integer or inf, got {p!r}")
+
+
+def check_mode(mode: str) -> None:
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 def plength(z, p) -> int:

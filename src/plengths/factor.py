@@ -20,7 +20,7 @@ from itertools import repeat
 from math import gcd, isqrt
 from operator import add
 
-from .common import INF, ExtremalResult, check_exponent
+from .common import INF, TABLE_BYTE_LIMIT, ExtremalResult, check_exponent, check_mode
 from .errors import (
     BudgetExceededError,
     NotInSemigroupError,
@@ -29,17 +29,6 @@ from .errors import (
 from .semigroup import NumericalSemigroup
 
 DEFAULT_ENUM_CAP = 10_000_000
-
-# Largest table a query may build, in bytes as _bytes_per_amount and
-# _fixed_bytes count them.
-TABLE_BYTE_LIMIT = 1 << 30
-
-_MODES = ("min", "max")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 def factorizations(
@@ -386,7 +375,7 @@ def _tables(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
 def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
     """Extremal p-lengths for every amount 0..n_max (None where n is not in S)."""
     check_exponent(p)
-    _check_mode(mode)
+    check_mode(mode)
     return _tables(S, n_max, p, mode)[0][: n_max + 1]
 
 
@@ -453,7 +442,7 @@ def extremal_plength(S: NumericalSemigroup, n: int, p, mode: str) -> ExtremalRes
     Raises NotInSemigroupError when n has no factorization.
     """
     check_exponent(p)
-    _check_mode(mode)
+    check_mode(mode)
     if n < 0:
         raise ValueError("n must be >= 0")
     ts = _table_set(S, n, p, mode)
@@ -479,33 +468,50 @@ def result_to_json(n: int, p, mode: str, res: ExtremalResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def closed_max_inf(S: NumericalSemigroup, n: int) -> int:
-    """Maximum coordinate bound (n - a) / g_1, a the residue entry mod g_1.
+def step_rule(S: NumericalSemigroup, p, mode: str) -> tuple[int, int]:
+    """(threshold, step) of the closed form of the (p, mode) extremal length
+    for p in {1, inf}: above the threshold each value exceeds the one a step
+    below it by exactly 1.
 
-    Valid only for n in S with n > g_1^2 * (g_1 + ... + g_k).
+    p == 1   min: ((g_1 - 1) g_k, g_k)    max: ((g_{k-1} - 1) g_k, g_1)
+    p == inf min: (g^2, g)                max: (g_1^2 g, g_1)
+    with g = g_1 + ... + g_k.
     """
+    check_mode(mode)
     gens = S.generators
-    g1 = gens[0]
-    g = sum(gens)
-    if n <= g1 * g1 * g:
-        raise ThresholdNotMetError(f"need n > {g1 * g1 * g}, got {n}")
+    g1, gk = gens[0], gens[-1]
+    if p == 1:
+        return ((g1 - 1) * gk, gk) if mode == "min" else ((gens[-2] - 1) * gk, g1)
+    if p == INF:
+        g = sum(gens)
+        return (g * g, g) if mode == "min" else (g1 * g1 * g, g1)
+    raise ValueError(f"closed forms exist for p in {{1, inf}}, not {p!r}")
+
+
+def _above_threshold(S: NumericalSemigroup, n: int, p, mode: str) -> tuple[int, int]:
+    """step_rule(S, p, mode), once n is found above its threshold and in S."""
+    threshold, step = step_rule(S, p, mode)
+    if n <= threshold:
+        raise ThresholdNotMetError(f"need n > {threshold}, got {n}")
     if not S.contains(n):
         raise NotInSemigroupError(f"{n} is not in {S!r}")
+    return threshold, step
+
+
+def closed_max_inf(S: NumericalSemigroup, n: int) -> int:
+    """Maximum coordinate bound (n - a) / g_1, a the residue entry mod g_1.
+    Valid only for n in S above the threshold of step_rule(S, inf, "max")."""
+    g1 = S.generators[0]
+    _above_threshold(S, n, INF, "max")
     a = S.apery(g1).entries[n % g1]
     return (n - a) // g1
 
 
 def closed_min_inf(S: NumericalSemigroup, n: int) -> int:
-    """Minimum coordinate bound (n + a) / g with g = g_1 + ... + g_k.
-
-    a is the residue entry of -n mod g. Valid only for n in S with n > g^2.
-    """
-    gens = S.generators
-    g = sum(gens)
-    if n <= g * g:
-        raise ThresholdNotMetError(f"need n > {g * g}, got {n}")
-    if not S.contains(n):
-        raise NotInSemigroupError(f"{n} is not in {S!r}")
+    """Minimum coordinate bound (n + a) / g with g = g_1 + ... + g_k, a the
+    residue entry of -n mod g. Valid only for n in S above the threshold of
+    step_rule(S, inf, "min")."""
+    _, g = _above_threshold(S, n, INF, "min")
     a = S.apery(g).entries[(-n) % g]
     return (n + a) // g
 
@@ -513,25 +519,13 @@ def closed_min_inf(S: NumericalSemigroup, n: int) -> int:
 def closed_len_recurrence(S: NumericalSemigroup, n: int, mode: str) -> int:
     """Ordinary length (p == 1) by unwinding its step-one recurrence.
 
-    The minimum length drops by 1 every g_k below n while n stays above
-    (g_1 - 1) * g_k; the maximum length drops by 1 every g_1 above
-    (g_{k-1} - 1) * g_k. Both exceed the Frobenius number, so the unwinding
-    jumps in O(1) to the last step above the threshold, takes one more step
-    if that stays in the semigroup, then finishes with the exact solver.
+    Above the threshold of step_rule(S, 1, mode), which exceeds the
+    Frobenius number, the length drops by 1 every step below n. The
+    unwinding jumps in O(1) to the last step above the threshold, takes one
+    more step if that stays in the semigroup, then finishes with the exact
+    solver.
     """
-    _check_mode(mode)
-    gens = S.generators
-    g1, gk = gens[0], gens[-1]
-    if mode == "min":
-        threshold = (g1 - 1) * gk
-        step = gk
-    else:
-        threshold = (gens[-2] - 1) * gk
-        step = g1
-    if n <= threshold:
-        raise ThresholdNotMetError(f"need n > {threshold}, got {n}")
-    if not S.contains(n):
-        raise NotInSemigroupError(f"{n} is not in {S!r}")
+    threshold, step = _above_threshold(S, n, 1, mode)
     steps = (n - threshold - 1) // step
     m = n - steps * step
     if S.contains(m - step):  # m - step <= threshold, and >= 0 as step <= threshold

@@ -14,8 +14,9 @@ from typing import TYPE_CHECKING
 from . import factor
 from .common import INF
 from .quasipoly import (
+    check_row,
+    expected_rows,
     qp_detect,
-    qp_fit,
     qp_threshold,
     sample_extremal,
     verify_qp_attributes,
@@ -57,12 +58,7 @@ def _sweep_range(threshold: int, cfg: RunConfig) -> tuple[int, int]:
 
 
 def _check_len_recurrence(S: NumericalSemigroup, cfg: RunConfig, mode: str):
-    gens = S.generators
-    g1, gk = gens[0], gens[-1]
-    if mode == "min":
-        threshold, step = (g1 - 1) * gk, gk
-    else:
-        threshold, step = (gens[-2] - 1) * gk, g1
+    threshold, step = factor.step_rule(S, 1, mode)
     lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
@@ -151,12 +147,8 @@ def _check_linfmin_apery_bound(S: NumericalSemigroup, cfg: RunConfig):
 
 
 def _check_linf_closed(S: NumericalSemigroup, cfg: RunConfig, mode: str):
-    gens = S.generators
-    g1, g = gens[0], sum(gens)
-    if mode == "max":
-        threshold, step, closed = g1 * g1 * g, g1, factor.closed_max_inf
-    else:
-        threshold, step, closed = g * g, g, factor.closed_min_inf
+    threshold, step = factor.step_rule(S, INF, mode)
+    closed = factor.closed_max_inf if mode == "max" else factor.closed_min_inf
     lo, hi = _sweep_range(threshold, cfg)
 
     def body(details):
@@ -175,26 +167,21 @@ def _check_linf_closed(S: NumericalSemigroup, cfg: RunConfig, mode: str):
 
 
 def _check_lpmax_quasipoly(S: NumericalSemigroup, cfg: RunConfig):
-    g1 = S.generators[0]
     thr = qp_threshold(S)
 
     def body(details):
-        from fractions import Fraction
-        for p in (2, 3):
-            lo = thr + 1 + g1
-            hi = lo + (p + 2) * g1 - 1
-            w = sample_extremal(S, p, "max", lo, hi)
-            rep = qp_fit(w, p, g1)
-            expected = Fraction(1, g1**p)
-            if not rep.fitted or rep.quasipoly.degree != p:
-                return {"p": p, "fitted": rep.fitted}
-            if any(c != expected for c in rep.quasipoly.leading_coefficients):
+        rows = [row for row in expected_rows(S) if row.name in ("l2_max", "l3_max")]
+        for row in rows:
+            rep = check_row(S, row, thr)
+            if not rep.degree_ok:
+                return {"p": row.p, "fitted": rep.fitted}
+            if not rep.leading_ok:
                 return {
-                    "p": p,
-                    "leading": [str(c) for c in rep.quasipoly.leading_coefficients],
-                    "expected": str(expected),
+                    "p": row.p,
+                    "leading": [str(c) for c in rep.fitted_leading],
+                    "expected": str(row.leading),
                 }
-        details.update(checked=2)
+        details.update(checked=len(rows))
         return None
 
     return {"threshold": thr}, body

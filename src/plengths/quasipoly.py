@@ -13,6 +13,7 @@ Fraction per class. No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import comb, lcm
 from operator import sub
 from typing import NamedTuple
@@ -115,7 +116,6 @@ def _read_off(start: int, level, degree: int, period: int) -> QuasiPolynomial:
     On that level each class n = r (mod period) holds degree! * period^degree
     times its leading coefficient; class r sits at index (r - start) mod period.
     """
-    from fractions import Fraction
     k = -start % period
     head = level[k:period] + level[:k]
     den = math.factorial(degree) * period**degree
@@ -255,7 +255,6 @@ def expected_rows(S: NumericalSemigroup) -> tuple[QpRow, ...]:
     p >= 1 the p-length has degree p, period g_1 and leading 1/g_1^p, and
     the max-coordinate length is linear with period and leading 1/g_1.
     """
-    from fractions import Fraction
     gens = S.generators
     k = len(gens)
     g1, gk = gens[0], gens[-1]
@@ -333,46 +332,45 @@ class RowReport(NamedTuple):
         return out
 
 
-def verify_qp_attributes(
-    S: NumericalSemigroup, window: tuple[int, int] | None = None
-) -> list[RowReport]:
-    """Fit every predicted row on a post-threshold window and check it exactly.
+def check_row(
+    S: NumericalSemigroup, row: QpRow, thr: int, window: tuple[int, int] | None = None
+) -> RowReport:
+    """Fit one predicted row on a window past thr = qp_threshold(S) and
+    check it exactly.
 
-    With no explicit window each row samples (degree + 2) * period points
-    starting one period past the threshold. A row passes when the fit
+    With no explicit window the row samples (degree + 2) * period points
+    starting one period past the threshold. The row passes when the fit
     succeeds with the exact degree, no proper divisor of the period also
     fits (the period is minimal), and the leading coefficient equals the
     predicted rational in every residue class.
     """
-    from fractions import Fraction
+    if window is None:
+        lo = thr + 1 + row.period
+        hi = lo + (row.degree + 2) * row.period - 1
+    else:
+        lo, hi = window
+        if lo <= thr:
+            raise ValueError(f"window must start beyond {thr}")
+        if hi - lo + 1 < (row.degree + 2) * row.period:
+            raise WindowTooShortError(f"row {row.name} needs more samples")
+    w = sample_extremal(S, row.p, row.mode, lo, hi)
+    rep = qp_fit(w, row.degree, row.period)
+    if not rep.fitted:
+        return RowReport(row, lo, len(w), False, False, False, False, None, thr)
+    qp = rep.quasipoly
+    degree_ok = qp.degree == row.degree
+    minimal = _period_minimal(w, row.degree, row.period)
+    leads = qp.leading_coefficients
+    # pad to the requested degree when trimming reduced it
+    if qp.degree < row.degree:
+        leads = (Fraction(0),) * len(leads)
+    leading_ok = row.leading is None or all(c == row.leading for c in leads)
+    return RowReport(row, lo, len(w), True, degree_ok, minimal, leading_ok, leads, thr)
+
+
+def verify_qp_attributes(
+    S: NumericalSemigroup, window: tuple[int, int] | None = None
+) -> list[RowReport]:
+    """check_row on every predicted row of S."""
     thr = qp_threshold(S)
-    reports = []
-    for row in expected_rows(S):
-        if window is None:
-            lo = thr + 1 + row.period
-            hi = lo + (row.degree + 2) * row.period - 1
-        else:
-            lo, hi = window
-            if lo <= thr:
-                raise ValueError(f"window must start beyond {thr}")
-            if hi - lo + 1 < (row.degree + 2) * row.period:
-                raise WindowTooShortError(f"row {row.name} needs more samples")
-        w = sample_extremal(S, row.p, row.mode, lo, hi)
-        rep = qp_fit(w, row.degree, row.period)
-        if not rep.fitted:
-            reports.append(
-                RowReport(row, lo, len(w), False, False, False, False, None, thr)
-            )
-            continue
-        qp = rep.quasipoly
-        degree_ok = qp.degree == row.degree
-        minimal = _period_minimal(w, row.degree, row.period)
-        leads = qp.leading_coefficients
-        # pad to the requested degree when trimming reduced it
-        if qp.degree < row.degree:
-            leads = (Fraction(0),) * len(leads)
-        leading_ok = row.leading is None or all(c == row.leading for c in leads)
-        reports.append(
-            RowReport(row, lo, len(w), True, degree_ok, minimal, leading_ok, leads, thr)
-        )
-    return reports
+    return [check_row(S, row, thr, window) for row in expected_rows(S)]

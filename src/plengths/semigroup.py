@@ -9,9 +9,12 @@ package assumes generators == atoms.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
+from .common import TABLE_BYTE_LIMIT
 from .errors import (
+    BudgetExceededError,
     ContainsOneError,
     DegenerateError,
     GcdNotOneError,
@@ -46,7 +49,15 @@ def _apery(m: int, gens) -> tuple[int, ...]:
     Round robin (Boecker and Liptak, "The money changing problem revisited"):
     generator a joins the classes into gcd(m, a) cycles r -> r + a, and one
     pass around a cycle from its least entry makes every entry final.
+    Raises BudgetExceededError, before allocating, when the table would take
+    more than TABLE_BYTE_LIMIT bytes: a list slot and an int object per
+    class, each entry being below m * g_k.
     """
+    need = m * (8 + sys.getsizeof(m * max(gens)))
+    if need > TABLE_BYTE_LIMIT:
+        raise BudgetExceededError(
+            f"an Apery table mod {m} would take {need} bytes, over the limit of {TABLE_BYTE_LIMIT}"
+        )
     ap: list = [0] + [None] * (m - 1)
     for a in gens:
         d = gcd(m, a)

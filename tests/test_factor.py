@@ -6,6 +6,7 @@ import pytest
 from min2_oracle import min2_integer_minimizer as min2_oracle
 
 from plengths import (
+    Acm,
     BudgetExceededError,
     NotInSemigroupError,
     NumericalSemigroup,
@@ -20,7 +21,8 @@ from plengths import (
     min2_shift_check,
     plength,
 )
-from plengths import factor
+from plengths import RunConfig, acm46, factor
+from plengths.ns_claims import SEMIGROUP_CLAIMS
 
 INF = math.inf
 
@@ -53,6 +55,17 @@ class TestPlength:
             plength((1, 2), -1)
         with pytest.raises(ValueError):
             plength((1, 2), 1.5)
+
+    def test_one_message_for_a_bad_mode(self, semigroups):
+        calls = (
+            lambda: extremal_values(semigroups[(2, 3)], 10, 1, "mid"),
+            lambda: Acm(4, 6).extremal_plength(28, 1, "mid"),
+            lambda: acm46.power_extremal(acm46.smooth_from_int(70), 2, 1, "mid"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "mode must be 'min' or 'max', got 'mid'"
 
 
 class TestFactorizations:
@@ -188,7 +201,30 @@ class TestWitnessRule:
             assert max(optimal) == greatest
 
 
+# (p, mode): the claim that replays the closed form, and the closed form
+CLOSED_FORMS = {
+    (1, "min"): ("l1min-recurrence", lambda S, n: closed_len_recurrence(S, n, "min")),
+    (1, "max"): ("l1max-recurrence", lambda S, n: closed_len_recurrence(S, n, "max")),
+    (INF, "min"): ("linfmin-closed-form", closed_min_inf),
+    (INF, "max"): ("linfmax-closed-form", closed_max_inf),
+}
+
+
 class TestClosedForms:
+    @pytest.mark.parametrize("p, mode", sorted(CLOSED_FORMS, key=str), ids=str)
+    def test_step_rule_sets_claim_and_closed_form_thresholds(self, semigroups, p, mode):
+        claim, closed = CLOSED_FORMS[p, mode]
+        _, _, check, *args = next(row for row in SEMIGROUP_CLAIMS if row[0] == claim)
+        for S in semigroups.values():
+            threshold, _ = factor.step_rule(S, p, mode)
+            window, _ = check(S, RunConfig(), *args)
+            assert window["threshold"] == threshold
+            with pytest.raises(ThresholdNotMetError):
+                closed(S, threshold)
+            n = next(n for n in range(threshold + 1, threshold + S.generators[0] + 1)
+                     if S.contains(n))
+            assert closed(S, n) == extremal_values(S, n, p, mode)[n]
+
     def test_max_inf_examples(self, semigroups):
         assert closed_max_inf(semigroups[(2, 3)], 21) == 9
         assert closed_max_inf(semigroups[(2, 3)], 22) == 11

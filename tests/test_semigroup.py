@@ -1,5 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -180,3 +185,32 @@ class TestAgainstBruteMembers:
             tracemalloc.stop()
         assert frobenius == 3001 * 3011 - 3001 - 3011 == 9_029_999
         assert peak < 1 << 20
+
+
+# Commands whose Apery table of 10^9 or 10^10 classes would take tens of GB
+APERY_TOO_LARGE = (
+    ["ns", "apery", "--gens", "3,5,7", "--modulus", "10000000000"],
+    ["ns", "frobenius", "--gens", "1000000007,1000000009"],
+    ["ns", "plength", "--gens", "1000000007,1000000009", "--n", "5", "--p", "1", "--mode", "min"],
+)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", APERY_TOO_LARGE, ids=" ".join)
+def test_oversized_apery_table_is_refused(argv):
+    """Refused with exit 2 and one error line, before anything is allocated:
+    the child's address space is capped at 2 GB, so building the table would
+    end in a MemoryError traceback instead."""
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "plengths.cli", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: an Apery table mod ")

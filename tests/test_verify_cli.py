@@ -1,13 +1,15 @@
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from plengths import Acm, RunConfig, verify_acm, verify_semigroup
+from plengths import Acm, RunConfig, ns_claims, verify_acm, verify_semigroup
 from plengths.cli import main
 from plengths.ns_claims import cube_min_candidates, find_second_difference_start
+from plengths.verify import _run
 
 # Reference digests of the benchmark's command lines; read only.
 REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
@@ -63,11 +65,25 @@ class TestHarness:
         # check against (1, 4) must fail and name a concrete element (125 = 5^3
         # is the first reducible member needing three atoms)
         from plengths.acm_claims import _check_two_atom_split
-        from plengths.verify import _run
 
         result = _run("two-atom-split", *_check_two_atom_split(Acm(1, 4), RunConfig(), 200))
         assert not result.passed
         assert result.counterexample == {"x": 125, "l1_min": 3}
+
+    def test_lpmax_quasipoly_reports_each_wrong_shape(self, semigroups, monkeypatch):
+        S = semigroups[(3, 5, 7)]
+        rows = ns_claims.expected_rows(S)
+
+        def replay(changed: str, **fields):
+            new = tuple(r._replace(**fields) if r.name == changed else r for r in rows)
+            monkeypatch.setattr(ns_claims, "expected_rows", lambda S: new)
+            return _run("lpmax-quasipoly", *ns_claims._check_lpmax_quasipoly(S, RunConfig()))
+
+        assert replay("l2_max").details == {"checked": 2}
+        assert replay("l3_max", leading=Fraction(1, 9)).counterexample == {
+            "p": 3, "leading": ["1/27"] * 3, "expected": "1/9",
+        }
+        assert replay("l2_max", degree=1).counterexample == {"p": 2, "fitted": False}
 
     def test_no_counterexamples_on_pass(self, semigroups):
         report = verify_semigroup(semigroups[(2, 3)])
