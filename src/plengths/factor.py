@@ -78,20 +78,24 @@ def factorizations(
 #                 over the smaller amounts of m's residue class mod g_i
 #   p == inf max  best(m, i) = max(R, (m - f) // g_i), R the largest next
 #                 over the class up to m and f its first feasible amount
-#   p >= 2 min    z ** p is convex, so along a residue class the candidates
+#   p == 2 min    (j - t)^2 + next[t] = j^2 + (next[t] + t^2 - 2tj) along a
+#                 residue class: a monotone lower envelope of lines, one per
+#                 feasible t, queried at increasing j
+#   p >= 3 min    z ** p is convex, so along a residue class the candidates
 #                 cost(j - t) + next[t] form a Monge matrix whose leftmost
 #                 argmin is monotone in j: divide and conquer over rows;
-#                 each cell also keeps its z = j - t for witnesses
+#                 both min fills keep each cell's z = j - t for witnesses
 #   p == inf min  a scan out from the balanced z = m // (g_i + rest), rest
 #                 the sum of the later generators, bounded by z < best
 #                 upwards and by next[x] >= ceil(x / rest) downwards
-#   p >= 2 max    a scan down from z = m // g_i, bounded by next[x] *
-#                 g_{i+1}^p <= x^p: it stops once no smaller z can win
+#   p >= 2 max    a scan down from the largest z that leaves a feasible
+#                 next, over the z that leave a multiple of the later
+#                 generators' gcd, bounded by next[x] * g_{i+1}^p <= x^p:
+#                 it stops once no smaller z can win
 #
-# A table costs O(n) cells for p in {0, 1} and inf max, O(n log n) per
-# residue class for p >= 2 min, and for inf min and p >= 2 max a few z per
-# cell (1.5 to 6.4 on average over (2, 3) .. (11, 13, 17, 19, 23) to
-# n = 30 000). Each semigroup holds its own tables per (p, mode), which go
+# A table costs O(n) cells for p in {0, 1}, inf max and 2 min, O(n log n)
+# per residue class for p >= 3 min, and for inf min and p >= 2 max a few z
+# per cell. Each semigroup holds its own tables per (p, mode), which go
 # with it, and they grow geometrically. Every cell reads only smaller
 # amounts, so regrowth extends the rows in place, resuming from the O(g_i)
 # values of state each row keeps; sweeping a window of n values costs one
@@ -128,6 +132,15 @@ def _stores_coords(p, mode: str) -> bool:
     return mode == "min" and p != INF and p >= 2
 
 
+def _int_bytes(bits: int) -> int:
+    """Bytes of an int object of that many bits; 0 up to 8 bits, the ints
+    Python shares."""
+    if bits <= 8:
+        return 0
+    digit_bits, digit_bytes = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
+    return sys.getsizeof(1) + (bits - 1) // digit_bits * digit_bytes
+
+
 def _bytes_per_amount(gens: tuple[int, ...], size: int, p, mode: str) -> int:
     """Bytes one amount of the tables over 0..size takes, at most.
 
@@ -136,16 +149,19 @@ def _bytes_per_amount(gens: tuple[int, ...], size: int, p, mode: str) -> int:
     holds at most (size // g_i) ** p, or size // g_i for p == inf, and is
     charged an int of that many bits. One more slot is for the copy of
     row 0 that extremal_values returns. p >= 2 min also stores a coordinate
-    per row but the last.
+    per row but the last, and while it fills a residue class of row i it
+    holds up to four lists over the class's size // g_i + 1 amounts, two of
+    them with an int object per slot of at most (p + 1) * bits(size // g_i)
+    + 2 bits; that is charged to every amount at the rate of the longest
+    classes, those of g_1.
     """
     per_amount = 8 * (len(gens) + 1)
-    digit_bits, digit_bytes = sys.int_info.bits_per_digit, sys.int_info.sizeof_digit
     for g in gens:
-        bits = (size // g).bit_length() * (1 if p == INF else p)
-        if bits > 8:
-            per_amount += sys.getsizeof(1) + (bits - 1) // digit_bits * digit_bytes
+        per_amount += _int_bytes((size // g).bit_length() * (1 if p == INF else p))
     if _stores_coords(p, mode):
         per_amount += (len(gens) - 1) * array("l").itemsize
+        per_class = 4 * 8 + 2 * _int_bytes((size // gens[0]).bit_length() * (p + 1) + 2)
+        per_amount += -(-per_class // gens[0])
     return per_amount
 
 
@@ -211,7 +227,9 @@ def _fill_row(
     if p == INF:
         return _fill_inf_min(row, nxt, g, sum(later), lo, hi)
     if not want_min:
-        return _fill_power_max(row, nxt, g, later[0], lo, hi, p)
+        return _fill_power_max(row, nxt, g, later, lo, hi, p, state)
+    if p == 2:
+        return _fill_square_min(row, nxt, g, lo, hi, state)
     return _fill_convex_min(row, nxt, g, lo, hi, p, state)
 
 
@@ -244,34 +262,113 @@ def _fill_inf_min(row: list, nxt: list, g: int, rest: int, lo: int, hi: int) -> 
         row[m] = best
 
 
-def _fill_power_max(row: list, nxt: list, g: int, g_next: int, lo: int, hi: int, p: int) -> None:
-    """The p >= 2 max case of _fill_row. Every later generator is >= g_next
+def _fill_power_max(row: list, nxt: list, g: int, later: tuple, lo: int, hi: int, p: int, state):
+    """The p >= 2 max case of _fill_row.
+
+    nxt is feasible only on multiples of d, the gcd of the later
+    generators, so z leaves a feasible remainder only in steps of
+    s = d / gcd(d, g); and no z above (m - first[r]) // g, first[r] the
+    least feasible amount of nxt in m's class r mod g, which that z leaves
+    exactly. The state is first. Every later generator is >= g_next = later[0]
     and sum(z_j^p) <= (sum z_j)^p, so nxt[x] * h <= x^p with h = g_next^p,
     and z is worth at most B(z) / h, B(z) = z^p h + (m - z g)^p. B is
-    convex, so z scans down from m // g until best * h >= max(B(1), B(z)).
+    convex, so over the progression z0 < ... < z of the z >= 1 left to
+    scan, z0 = z mod s or s, it is at most max(B(z0), B(z)): z scans down
+    from the largest and stops once best * h reaches that.
     """
-    h = g_next**p
+    d = gcd(*later)
+    s = d // gcd(d, g)
+    h = later[0] ** p
+    step = s * g
+    first = state or [None] * g
     for m in range(lo, hi + 1):
+        r = m % g
         best = nxt[m]
-        z = m // g
+        f = first[r]
+        if f is None:
+            if best is not None:
+                first[r] = m
+            row[m] = best
+            continue
+        z = (m - f) // g
+        z0 = z % s or s
+        b0 = z0**p * h + (m - z0 * g) ** p
         off = m - z * g
-        b1 = h + (m - g) ** p
-        while z:
+        while z > 0:
             c = z**p
             if best is not None:
                 bz = c * h + off**p
-                if best * h >= (bz if bz > b1 else b1):
+                if best * h >= (bz if bz > b0 else b0):
                     break
             sub = nxt[off]
             if sub is not None and (best is None or c + sub > best):
                 best = c + sub
-            z -= 1
-            off += g
+            z -= s
+            off += step
         row[m] = best
+    return first
+
+
+def _fill_square_min(row: list, nxt: list, g: int, lo: int, hi: int, state):
+    """The p == 2 min case of _fill_row, one residue class r at a time.
+
+    With b[t] = nxt[r + t*g], best(r + j*g) = min over t <= j of
+    (j - t)^2 + b[t] = j^2 + min over t of (c_t - 2tj), c_t = b[t] + t^2:
+    the lower envelope at j of one line of slope -2t per feasible t. Lines
+    enter in increasing t, so in decreasing slope, and are read at
+    increasing j, so the envelope is a list whose front only moves on. Line
+    t enters at the back; the back line t2, with t1 before it, leaves when
+    (c_t - c_t2)(t2 - t1) <= (c_t2 - c_t1)(t - t2), that is when t meets t2
+    no later than t1 does, so that t2 is never below both; all in integers.
+    Ties go to the smaller t: t2 also leaves when all three meet in one
+    point, where t1 attains the value, and the front moves on only where the
+    next line is strictly lower at j. The front line is so the leftmost
+    argmin, and argz[m] = j - t the largest optimal z, as _fill_convex_min
+    stores them, with the same state (argmin, argz). The leftmost argmin
+    never decreases in j, so a regrowth rebuilds class r from line
+    argmin[r] on.
+    """
+    argmin, argz = state or ([0] * g, array("l"))
+    argz.frombytes(bytes((hi + 1 - lo) * argz.itemsize))
+    for r in range(min(g, hi + 1)):
+        j0, j1 = max(0, -((r - lo) // g)), (hi - r) // g
+        if j0 > j1:
+            continue
+        b = nxt[r : hi + 1 : g]
+        ts: list[int] = []  # the envelope's lines from the front f on: t and c_t
+        cs: list[int] = []
+        f = 0
+        for j in range(argmin[r], j1 + 1):
+            v = b[j]
+            if v is not None:
+                c = v + j * j
+                while len(ts) - f > 1:
+                    t2, c2 = ts[-1], cs[-1]
+                    if (c - c2) * (t2 - ts[-2]) > (c2 - cs[-2]) * (j - t2):
+                        break
+                    ts.pop()
+                    cs.pop()
+                ts.append(j)
+                cs.append(c)
+            if j < j0 or f == len(ts):
+                continue
+            t, y = ts[f], cs[f] - 2 * ts[f] * j
+            while f + 1 < len(ts):
+                y2 = cs[f + 1] - 2 * ts[f + 1] * j
+                if y2 >= y:
+                    break
+                f += 1
+                t, y = ts[f], y2
+            m = r + j * g
+            row[m] = y + j * j
+            argz[m] = j - t
+        if f < len(ts):
+            argmin[r] = ts[f]
+    return argmin, argz
 
 
 def _fill_convex_min(row: list, nxt: list, g: int, lo: int, hi: int, p: int, state):
-    """The p >= 2 min case of _fill_row, one residue class r at a time.
+    """The p >= 3 min case of _fill_row, one residue class r at a time.
 
     With b[t] = nxt[r + t*g], best(r + j*g) = min over t <= j of
     (j - t)^p + b[t]. An infeasible b[t] becomes `big`, above every finite

@@ -119,13 +119,25 @@ def _check_linfmin_lower_bound(S: NumericalSemigroup, cfg: RunConfig, c_max: int
 
     def body(details):
         vals = factor.extremal_values(S, hi, INF, "min")
+        # least value and member count over n = c * g + 1 .. hi, for each c,
+        # in one pass down from hi; only a c whose least value fails sweeps,
+        # which reports its first n
+        least, members, above, suffix = None, 0, hi + 1, {}
+        for c in range(c_max, 0, -1):
+            part = [v for v in vals[c * g + 1 : above] if v is not None]
+            if part:
+                least = min(part) if least is None else min(least, *part)
+            members += len(part)
+            suffix[c] = least, members
+            above = c * g + 1
         for c in range(1, c_max + 1):
-            bad = _sweep(
-                details, vals, c * g + 1, hi,
-                lambda n: None if vals[n] > c else {"c": c, "n": n, "value": vals[n]},
-            )
-            if bad is not None:
-                return bad
+            least, members = suffix[c]
+            if least is not None and least <= c:
+                return _sweep(
+                    details, vals, c * g + 1, hi,
+                    lambda n: None if vals[n] > c else {"c": c, "n": n, "value": vals[n]},
+                )
+            details["checked"] = details.get("checked", 0) + members
         return None
 
     return {"hi": hi, "c_max": c_max}, body

@@ -43,17 +43,25 @@ class AperyTable:
         return max(self.entries)
 
 
+def _apery_bytes(m: int, gens) -> int:
+    """Bytes _apery(m, gens) allocates, at most: per class a slot of the
+    list it is built in, a slot of the tuple it is returned as, and an int
+    object below m * g_k, which a sum allocates one digit longer than it
+    needs; and 1 KiB for object headers and the generator each cycle is
+    scanned with."""
+    return m * (16 + sys.getsizeof(m * max(gens)) + sys.int_info.sizeof_digit) + 1024
+
+
 def _apery(m: int, gens) -> tuple[int, ...]:
     """Least element of <gens> in each class mod m, for m in <gens>, in O(k * m).
 
     Round robin (Boecker and Liptak, "The money changing problem revisited"):
     generator a joins the classes into gcd(m, a) cycles r -> r + a, and one
     pass around a cycle from its least entry makes every entry final.
-    Raises BudgetExceededError, before allocating, when the table would take
-    more than TABLE_BYTE_LIMIT bytes: a list slot and an int object per
-    class, each entry being below m * g_k.
+    Raises BudgetExceededError, before allocating, when _apery_bytes is
+    more than TABLE_BYTE_LIMIT.
     """
-    need = m * (8 + sys.getsizeof(m * max(gens)))
+    need = _apery_bytes(m, gens)
     if need > TABLE_BYTE_LIMIT:
         raise BudgetExceededError(
             f"an Apery table mod {m} would take {need} bytes, over the limit of {TABLE_BYTE_LIMIT}"
@@ -62,7 +70,7 @@ def _apery(m: int, gens) -> tuple[int, ...]:
     for a in gens:
         d = gcd(m, a)
         for p in range(d):
-            n = min((w for w in ap[p::d] if w is not None), default=None)
+            n = min((ap[r] for r in range(p, m, d) if ap[r] is not None), default=None)
             if n is None:
                 continue
             for _ in range(m // d - 1):

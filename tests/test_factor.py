@@ -328,10 +328,13 @@ class TestTableByteLimit:
     def test_estimate_covers_the_traced_peak(self):
         """The count includes the int objects of a p >= 1 table's values, the
         copy extremal_values returns and the rows' fixed bytes, which are all
-        a p = 0 table has beyond its slots."""
+        a p = 0 table has beyond its slots, and for p >= 2 min the lists a
+        fill holds over one residue class."""
         for p, mode, n in [
             (0, "min", 10**5),
             (1, "max", 10**5),
+            (2, "min", 10**4),
+            (3, "min", 10**4),
             (2, "max", 3 * 10**4),
             (3, "max", 3 * 10**4),
             (INF, "min", 3 * 10**4),

@@ -214,3 +214,29 @@ def test_oversized_apery_table_is_refused(argv):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: an Apery table mod ")
+
+
+@pytest.mark.parametrize(
+    "m,gens",
+    [
+        (100003, (100003, 100019)),
+        (30011, (30011, 30013, 30017)),
+        (1009, (1009, 1013, 1019, 1021)),
+        (5, (5, 7)),
+    ],
+    ids=lambda v: str(v),
+)
+def test_apery_charge_covers_the_traced_peak(m, gens):
+    """The bytes _apery checks against the limit cover what it allocates:
+    the list it fills, the tuple it returns and the int objects, which a
+    sum allocates one digit long; it copies no cycle's slice of the list."""
+    from plengths import semigroup
+
+    semigroup._apery(7, (7, 11))  # allocations made once per process
+    tracemalloc.start()
+    try:
+        semigroup._apery(m, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= semigroup._apery_bytes(m, gens)

@@ -11,8 +11,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from plengths import NumericalSemigroup, factor
+from plengths import NumericalSemigroup, PlengthsError, factor
 
 INF = math.inf
 
@@ -224,12 +226,15 @@ def _assert_keyed_fill_matches(ts, oracle, largest):
     ids=lambda g: ",".join(map(str, g)),
 )
 def test_keyed_argmin_through_changing_widths(gens):
-    """p >= 2 min fills encode a candidate as value * W + t, W = hi // g + 2
+    """p >= 3 min fills encode a candidate as value * W + t, W = hi // g + 2
     set afresh by every fill, and decode the least key by divmod. Grown
     through sizes that change W, rows and stored coordinates must equal the
     oracle. For every amount where z = 0 ties with a larger z, a table is
     also grown to end exactly there, so the tie sits at t = hi // g, the
-    last position of its class and the largest t a key holds."""
+    last position of its class and the largest t a key holds. The p = 2 run
+    checks the line envelope's tie rule on the same amounts: of lines equal
+    at j the front keeps the smallest t, the largest z, also where the line
+    t = j has just entered at the back."""
     hi = 400
     for p in (2, 3):
         oracle = brute_tables(gens, hi, p, "min")
@@ -258,3 +263,72 @@ def test_keyed_argmin_through_changing_widths(gens):
             assert factor.extremal_plength(S, m, p, "min").witness == _scan_witness(
                 oracle, gens, m, p
             )
+
+
+def _largest_optimal_z(oracle, gens, p):
+    """Per row but the last, the largest optimal z at each feasible amount
+    (None elsewhere): the coordinate a p >= 2 min fill stores."""
+    out = []
+    for i, g in enumerate(gens[:-1]):
+        nxt, col = oracle[i + 1], []
+        for m, v in enumerate(oracle[i]):
+            col.append(
+                None if v is None else next(
+                    z for z in range(m // g, -1, -1)
+                    if nxt[m - z * g] is not None and z**p + nxt[m - z * g] == v
+                )
+            )
+        out.append(col)
+    return out
+
+
+def _assert_grown_tables_match(gens, steps, exponents):
+    """Grow fresh tables of each (p, mode) through steps; after each step
+    every row, and for min every stored coordinate, equals the oracle."""
+    top = -1  # the size the tables reach: a regrowth adds at least half
+    for n in steps:
+        if n > top:
+            top = n if top < 0 else max(n, top + top // 2)
+    for p in exponents:
+        for mode in MODES:
+            oracle = brute_tables(gens, top, p, mode)
+            largest = _largest_optimal_z(oracle, gens, p) if mode == "min" else None
+            S = NumericalSemigroup(gens)
+            for n in steps:
+                ts = factor._table_set(S, n, p, mode)
+                if mode == "min":
+                    _assert_keyed_fill_matches(ts, oracle, largest)
+                else:
+                    for i, (row, want) in enumerate(zip(ts.rows, oracle)):
+                        assert row[: ts.size + 1] == want[: ts.size + 1], (p, mode, n, i)
+
+
+@pytest.mark.parametrize(
+    "gens", [(6, 10, 15), (10, 15, 21), (12, 18, 20, 27), (4, 6, 9)],
+    ids=lambda g: ",".join(map(str, g)),
+)
+def test_later_gcd_above_one_matches_brute_force(gens):
+    """Where the generators after g_i share a gcd d > 1 the p >= 2 max scan
+    steps z by d / gcd(d, g_i) from the largest feasible z; the p = 2 min
+    envelope meets long runs of infeasible lines."""
+    _assert_grown_tables_match(gens, [37, 160, 400, 700], (2, 3, 4))
+
+
+def test_two_close_generators_match_brute_force():
+    """(71, 73): the max bound's B(z0) stays above best * h for small z0,
+    and each residue class of the envelope is sparse below 5039, the
+    Frobenius number."""
+    _assert_grown_tables_match((71, 73), [300, 2000, 5100, 7000], (2, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=24), min_size=2, max_size=4, unique=True),
+    st.lists(st.integers(min_value=0, max_value=260), min_size=1, max_size=4),
+)
+def test_drawn_semigroups_and_cuts_match_brute_force(gens, cuts):
+    try:
+        S = NumericalSemigroup(gens)
+    except PlengthsError:
+        assume(False)
+    _assert_grown_tables_match(S.generators, sorted(set(cuts)) + [300], (2, 3))

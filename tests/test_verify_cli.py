@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from plengths import Acm, RunConfig, ns_claims, verify_acm, verify_semigroup
+from plengths import Acm, NumericalSemigroup, RunConfig, ns_claims, verify_acm, verify_semigroup
 from plengths.cli import main
 from plengths.ns_claims import cube_min_candidates, find_second_difference_start
 from plengths.verify import _run
+
+INF = math.inf
 
 # Reference digests of the benchmark's command lines; read only.
 REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
@@ -84,6 +87,37 @@ class TestHarness:
             "p": 3, "leading": ["1/27"] * 3, "expected": "1/9",
         }
         assert replay("l2_max", degree=1).counterexample == {"p": 2, "fitted": False}
+
+    @pytest.mark.parametrize(
+        "lowered",
+        [{}, {400: 3}, {80: 20, 300: 5}, {120: 2, 121: 1}, {200: 9, 201: 9, 499: 9}, {500: 20}],
+        ids=str,
+    )
+    def test_linfmin_lower_bound_reports_the_first_failing_c(self, monkeypatch, lowered):
+        """The claim reads each c's least value from one pass; with the inf
+        min row lowered at some n it must report the (c, n) and the checked
+        count of a sweep over n > c * g for each c in turn."""
+        from plengths import factor
+
+        S = NumericalSemigroup((3, 5, 7))
+        g, c_max = 15, 20
+        vals = factor.extremal_values(S, c_max * g + ns_claims.SWEEP, INF, "min")
+        for n, v in lowered.items():
+            vals[n] = v
+        monkeypatch.setattr(factor, "extremal_values", lambda *args: vals)
+
+        want: dict = {}
+        for c in range(1, c_max + 1):
+            bad = ns_claims._sweep(
+                want, vals, c * g + 1, len(vals) - 1,
+                lambda n: None if vals[n] > c else {"c": c, "n": n, "value": vals[n]},
+            )
+            if bad is not None:
+                break
+        got = _run("linfmin-lower-bound", *ns_claims._check_linfmin_lower_bound(S, RunConfig()))
+        assert got.counterexample == bad
+        assert got.details == want
+        assert (bad is None) == (not lowered)
 
     def test_no_counterexamples_on_pass(self, semigroups):
         report = verify_semigroup(semigroups[(2, 3)])
