@@ -82,13 +82,11 @@ del _name
 _HOMES = {
     "Acm": "acm",
     "AcmFactorization": "acm",
-    "AperyTable": "semigroup",
     "BudgetExceededError": "errors",
     "ConstructionInvalidError": "errors",
     "ContainsOneError": "errors",
     "DegenerateError": "errors",
     "ExtremalResult": "common",
-    "FitReport": "quasipoly",
     "GcdNotOneError": "errors",
     "GrowthSeries": "acm46",
     "ModulusNotInSemigroupError": "errors",

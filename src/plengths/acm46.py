@@ -248,11 +248,6 @@ def good_atoms(x: SmoothElement) -> list[SmoothElement]:
     return out
 
 
-def count_good_atoms(x: SmoothElement) -> int:
-    """Number of good atoms relative to x; always finite, 1 when e5 + e7 = 0."""
-    return len(good_atoms(x))
-
-
 # ---------------------------------------------------------------------------
 # Exact extremal multiplicities for powers.
 # ---------------------------------------------------------------------------

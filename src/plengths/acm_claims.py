@@ -118,7 +118,7 @@ def _check_good_atom_bound(M: Acm, cfg: RunConfig, n_max: int):
         counts = {}
         for base in bases:
             x = acm46.smooth_from_int(base)
-            G = acm46.count_good_atoms(x)
+            G = len(acm46.good_atoms(x))
             counts[base] = G
             for n in range(1, n_max + 1):
                 linf = acm46.power_extremal(x, n, INF, "min")

@@ -127,7 +127,7 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
     if args.command == "apery":
         table = S.apery(args.modulus)
         return 0, _json_text(
-            {"semigroup": S.to_json(), "modulus": table.modulus, "entries": list(table.entries)}
+            {"semigroup": S.to_json(), "modulus": len(table), "entries": list(table)}
         )
     if args.command == "frobenius":
         return 0, _json_text({"semigroup": S.to_json(), "frobenius": S.frobenius()})

@@ -86,7 +86,8 @@ def factorizations(
 #                 argmin is monotone in j: divide and conquer over rows;
 #                 both min fills keep each cell's z = j - t for witnesses
 #   p == inf min  a scan out from the balanced z = m // (g_i + rest), rest
-#                 the sum of the later generators, bounded by z < best
+#                 the sum of the later generators, over the z that leave a
+#                 multiple of the later generators' gcd, bounded by z < best
 #                 upwards and by next[x] >= ceil(x / rest) downwards
 #   p >= 2 max    a scan down from the largest z that leaves a feasible
 #                 next, over the z that leave a multiple of the later
@@ -225,7 +226,7 @@ def _fill_row(
                 row[m] = run[r] if run[r] > z else z
         return run, first
     if p == INF:
-        return _fill_inf_min(row, nxt, g, sum(later), lo, hi)
+        return _fill_inf_min(row, nxt, g, later, lo, hi)
     if not want_min:
         return _fill_power_max(row, nxt, g, later, lo, hi, p, state)
     if p == 2:
@@ -233,32 +234,46 @@ def _fill_row(
     return _fill_convex_min(row, nxt, g, lo, hi, p, state)
 
 
-def _fill_inf_min(row: list, nxt: list, g: int, rest: int, lo: int, hi: int) -> None:
-    """The p == inf min case of _fill_row; rest is the sum of the later
-    generators, so nxt[x] >= ceil(x / rest). The scan starts at the balanced
-    z0 = m // (g + rest) and goes up while z can still beat the best value
-    found, down while that lower bound on nxt still can."""
+def _fill_inf_min(row: list, nxt: list, g: int, later: tuple, lo: int, hi: int) -> None:
+    """The p == inf min case of _fill_row.
+
+    rest is the sum of the later generators, so nxt[x] >= ceil(x / rest).
+    nxt is feasible only on multiples of d, the gcd of the later generators:
+    with e = gcd(d, g) and s = d / e, m is infeasible unless e divides it,
+    and then z leaves a multiple of d exactly when
+    z = (m / e) * (g / e)^-1 (mod s). The scan takes those z from the first
+    at or above the balanced z0 = m // (g + rest): up while z can still beat
+    the best value found, down while the lower bound on nxt still can.
+    """
+    rest, d = sum(later), gcd(*later)
+    e = gcd(d, g)
+    s = d // e
+    inv = pow(g // e, -1, s)
+    step = s * g
     for m in range(lo, hi + 1):
+        if m % e:
+            continue  # row[m] stays None
         best = None
         z0 = m // (g + rest)
-        z, off = z0, m - z0 * g
+        top = z0 + (m // e * inv - z0) % s
+        z, off = top, m - top * g
         while off >= 0 and (best is None or z < best):
             sub = nxt[off]
             if sub is not None:
                 v = sub if sub > z else z
                 if best is None or v < best:
                     best = v
-            z += 1
-            off -= g
-        z, off = z0 - 1, m - (z0 - 1) * g
+            z += s
+            off -= step
+        z, off = top - s, m - (top - s) * g
         while z >= 0 and (best is None or -(-off // rest) < best):
             sub = nxt[off]
             if sub is not None:
                 v = sub if sub > z else z
                 if best is None or v < best:
                     best = v
-            z -= 1
-            off += g
+            z -= s
+            off += step
         row[m] = best
 
 
@@ -488,7 +503,10 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
     every part of the remainder is at most g_k, so its length is at least
     (m - z g_i) / g_k, and z + that length <= target bounds z by
     (target g_k - m) // (g_k - g_i), which for a minimum lies near the
-    answer where m // g_i lies Θ(m / g_k) above it.
+    answer where m // g_i lies Θ(m / g_k) above it. For p == 0 min every
+    z >= 1 costs 1, so the largest leaves the least remainder in m's class
+    mod g_i whose optimum is target - 1, and z = 0 when there is none; one
+    list.index over the class finds it.
     """
     gens, tables = ts.gens, ts.rows
     gk = gens[-1]
@@ -506,6 +524,11 @@ def _reconstruct(ts: _TableSet, n: int, p, mode: str) -> tuple[int, ...]:
                 top = min(m // g, target, (target * gk - m) // (gk - g))
             elif p == INF:
                 top = min(m // g, target)
+            elif p == 0 and mode == "min":
+                try:
+                    top = m // g - nxt[m % g : max(m - g + 1, 0) : g].index(target - 1)
+                except ValueError:
+                    top = 0
             else:
                 top = m // g
             for cand in range(top, -1, -1):
@@ -600,7 +623,7 @@ def closed_max_inf(S: NumericalSemigroup, n: int) -> int:
     Valid only for n in S above the threshold of step_rule(S, inf, "max")."""
     g1 = S.generators[0]
     _above_threshold(S, n, INF, "max")
-    a = S.apery(g1).entries[n % g1]
+    a = S.apery(g1)[n % g1]
     return (n - a) // g1
 
 
@@ -609,7 +632,7 @@ def closed_min_inf(S: NumericalSemigroup, n: int) -> int:
     residue entry of -n mod g. Valid only for n in S above the threshold of
     step_rule(S, inf, "min")."""
     _, g = _above_threshold(S, n, INF, "min")
-    a = S.apery(g).entries[(-n) % g]
+    a = S.apery(g)[(-n) % g]
     return (n + a) // g
 
 

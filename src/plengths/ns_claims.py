@@ -148,11 +148,11 @@ def _check_linfmin_apery_bound(S: NumericalSemigroup, cfg: RunConfig):
 
     def body(details):
         table = S.apery(g)
-        vals = factor.extremal_values(S, table.max(), INF, "min")
-        for a in table.entries:
+        vals = factor.extremal_values(S, max(table), INF, "min")
+        for a in table:
             if not vals[a] < g:
                 return {"apery_element": a, "value": vals[a], "bound": g}
-        details.update(checked=len(table.entries))
+        details.update(checked=len(table))
         return None
 
     return {"modulus": g}, body
@@ -293,12 +293,9 @@ def _check_cube_not_qp(S: NumericalSemigroup, cfg: RunConfig, d_max: int, pi_max
 
     def body(details):
         w = sample_extremal(S, 3, "min", lo, hi)
-        rep = qp_detect(w, d_max, pi_max)
-        if rep.fitted:
-            return {
-                "degree": rep.quasipoly.degree,
-                "period": rep.quasipoly.period,
-            }
+        qp = qp_detect(w, d_max, pi_max)
+        if qp is not None:
+            return {"degree": qp.degree, "period": qp.period}
         details.update(searched={"d_max": d_max, "pi_max": pi_max})
         return None
 

@@ -40,11 +40,6 @@ class SampleWindow:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def end(self) -> int:
-        """Last sampled index, inclusive."""
-        return self.start + len(self.values) - 1
-
 
 def _differences(w: SampleWindow, period: int, depth: int):
     """Levels 0, 1, ..., depth of the period-step difference table of w.
@@ -132,47 +127,13 @@ def _fraction_strings(values) -> list[str]:
     return list(map(text.__getitem__, ids))
 
 
-class FitReport(NamedTuple):
-    """Outcome of a fit or detection attempt over one sample window."""
-
-    window_start: int
-    window_length: int
-    quasipoly: QuasiPolynomial | None
-    searched_degree: int | None = None
-    searched_period: int | None = None
-    detail: str = ""
-
-    @property
-    def fitted(self) -> bool:
-        return self.quasipoly is not None
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "outcome": "fitted" if self.fitted else "not-quasipolynomial",
-            "window": {"start": self.window_start, "length": self.window_length},
-        }
-        if self.fitted:
-            qp = self.quasipoly
-            out["degree"] = qp.degree
-            out["period"] = qp.period
-            out["leading_coefficients"] = _fraction_strings(qp.leading_coefficients)
-        else:
-            out["searched"] = {
-                "degree_max": self.searched_degree,
-                "period_max": self.searched_period,
-            }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-
-def qp_fit(w: SampleWindow, degree: int, period: int) -> FitReport:
+def qp_fit(w: SampleWindow, degree: int, period: int) -> QuasiPolynomial | None:
     """Fit the window exactly as a quasipolynomial of the given shape.
 
     Succeeds exactly when the (degree+1)-fold period-step difference of the
-    window vanishes. The fitted degree is then the top difference level
-    <= degree that is not all zero (0 for an all-zero window), so an
-    inflated requested degree is trimmed to the exact one.
+    window vanishes; None otherwise. The fitted degree is then the top
+    difference level <= degree that is not all zero (0 for an all-zero
+    window), so an inflated requested degree is trimmed to the exact one.
     """
     if degree < 0 or period < 1:
         raise ValueError("degree >= 0 and period >= 1 required")
@@ -185,18 +146,18 @@ def qp_fit(w: SampleWindow, degree: int, period: int) -> FitReport:
         if any(level):
             top, lead = t, level
     if top > degree:
-        return FitReport(w.start, len(w), None, degree, period, "difference test nonzero")
-    return FitReport(w.start, len(w), _read_off(w.start, lead, top, period))
+        return None
+    return _read_off(w.start, lead, top, period)
 
 
-def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
+def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> QuasiPolynomial | None:
     """Smallest-period fit on the grid, ties broken by smallest degree.
 
     A period is skipped when three sampled entries of each difference level
     1..degree_max + 1 include a nonzero one, so that no level vanishes;
     otherwise the window is differenced once more per degree until a level
-    vanishes. Returns a negative report after exhausting every
-    (degree, period) with degree <= degree_max and period <= period_max.
+    vanishes. Returns None after exhausting every (degree, period) with
+    degree <= degree_max and period <= period_max.
     """
     if degree_max < 0 or period_max < 1:
         raise ValueError("degree_max >= 0 and period_max >= 1 required")
@@ -209,11 +170,9 @@ def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> FitReport:
             continue
         for t, level in enumerate(_differences(w, period, degree_max + 1)):
             if t and not any(level):
-                return FitReport(w.start, len(w), _read_off(w.start, prev, t - 1, period))
+                return _read_off(w.start, prev, t - 1, period)
             prev = level
-    return FitReport(
-        w.start, len(w), None, degree_max, period_max, "grid exhausted"
-    )
+    return None
 
 
 def _period_minimal(w: SampleWindow, degree: int, period: int) -> bool:
@@ -354,10 +313,9 @@ def check_row(
         if hi - lo + 1 < (row.degree + 2) * row.period:
             raise WindowTooShortError(f"row {row.name} needs more samples")
     w = sample_extremal(S, row.p, row.mode, lo, hi)
-    rep = qp_fit(w, row.degree, row.period)
-    if not rep.fitted:
+    qp = qp_fit(w, row.degree, row.period)
+    if qp is None:
         return RowReport(row, lo, len(w), False, False, False, False, None, thr)
-    qp = rep.quasipoly
     degree_ok = qp.degree == row.degree
     minimal = _period_minimal(w, row.degree, row.period)
     leads = qp.leading_coefficients

@@ -23,26 +23,6 @@ from .errors import (
 )
 
 
-class AperyTable:
-    """Least semigroup element in each residue class for a modulus in S.
-
-    entries[j] is the smallest element of S congruent to j mod modulus, so
-    entries[0] == 0 and entries[j] - modulus is never in S.
-    """
-
-    __slots__ = ("modulus", "entries")
-
-    def __init__(self, modulus: int, entries: tuple[int, ...]) -> None:
-        self.modulus = modulus
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return self.modulus
-
-    def max(self) -> int:
-        return max(self.entries)
-
-
 def _apery_bytes(m: int, gens) -> int:
     """Bytes _apery(m, gens) allocates, at most: per class a slot of the
     list it is built in, a slot of the tuple it is returned as, and an int
@@ -107,7 +87,7 @@ class NumericalSemigroup:
             raise GcdNotOneError(f"gcd of generators is {g}, not 1")
         self.generators = tuple(gens)
         self._ap = _apery(gens[0], gens)
-        self._apery_cache = {gens[0]: AperyTable(gens[0], self._ap)}
+        self._apery_cache = {gens[0]: self._ap}
         # (p, mode) -> the extremal tables factor builds and grows over S
         self._table_cache: dict = {}
         # x is generated by the others iff x - g lies in S for a smaller
@@ -125,23 +105,23 @@ class NumericalSemigroup:
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
-    def apery(self, modulus: int) -> AperyTable:
-        """Smallest element of S in each residue class mod modulus.
+    def apery(self, modulus: int) -> tuple[int, ...]:
+        """Smallest element of S in each residue class mod modulus: entry j
+        is the least element congruent to j, so entry 0 is 0 and entry j
+        minus the modulus is never in S.
 
         The modulus must itself lie in S. Round robin, O(k * modulus).
         """
         if modulus < 1 or not self.contains(modulus):
             raise ModulusNotInSemigroupError(f"{modulus} is not in the semigroup")
-        cached = self._apery_cache.get(modulus)
-        if cached is not None:
-            return cached
-        table = AperyTable(modulus, _apery(modulus, self.generators))
-        self._apery_cache[modulus] = table
+        table = self._apery_cache.get(modulus)
+        if table is None:
+            table = self._apery_cache[modulus] = _apery(modulus, self.generators)
         return table
 
     def frobenius(self) -> int:
         """Largest integer outside S, via the first-generator residue table."""
-        return self.apery(self.generators[0]).max() - self.generators[0]
+        return max(self._ap) - self.generators[0]
 
     def to_json(self) -> dict:
         return {"generators": list(self.generators)}

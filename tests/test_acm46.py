@@ -8,7 +8,6 @@ from plengths.acm46 import (
     atom_divisors,
     classify_atom,
     construct_70_factorization,
-    count_good_atoms,
     ell0_max_28_closed,
     ell0_max_40_closed,
     ell0_max_exact,
@@ -165,10 +164,10 @@ class TestGoodEvil:
 
     def test_counts(self):
         # base 70: e2 = 2 atoms need r <= 12, e2 = 1 atoms need q + r <= 6
-        assert count_good_atoms(X70) == 13 + (6 + 4 + 2)
+        assert len(good_atoms(X70)) == 13 + (6 + 4 + 2)
         # base 28: 2(q + r) <= 3p gives r <= 3 at p = 2 and only (1, 1, 0) at p = 1
-        assert count_good_atoms(X28) == 5
-        assert count_good_atoms(SmoothElement(2, 0, 0)) == 1
+        assert len(good_atoms(X28)) == 5
+        assert len(good_atoms(SmoothElement(2, 0, 0))) == 1
 
     def test_good_set_matches_classifier(self):
         for x in (X28, X40, X70):
@@ -246,7 +245,7 @@ class TestGrowthSeries:
         assert 0.5 <= series.fitted_exponent <= 0.85
 
     def test_min_peak_bound(self):
-        G = count_good_atoms(X28)
+        G = len(good_atoms(X28))
         series = growth_series(X28, INF, "min", 10)
         for n, v in series.points:
             assert 3 * G * v >= n

@@ -182,10 +182,12 @@ def test_bounded_scans_match_brute_force(gens):
 )
 def test_witness_scans_from_target_match_scan(gens):
     """p in {1, inf} witnesses start their scan at the target when it lies
-    below m // g, and p = 1 also at (target * g_k - m) // (g_k - g): the
-    result must be the scan from m // g over the oracle."""
+    below m // g, and p = 1 also at (target * g_k - m) // (g_k - g); p = 0
+    min takes the least remainder of m's class whose optimum is the target
+    less 1, and p = 0 max scans down from m // g: the result must be the
+    scan from m // g over the oracle."""
     S = NumericalSemigroup(gens)
-    for p in (1, INF):
+    for p in (0, 1, INF):
         for mode in MODES:
             oracle = brute_tables(gens, 700, p, mode)
             for n in range(701):
@@ -283,24 +285,25 @@ def _largest_optimal_z(oracle, gens, p):
 
 
 def _assert_grown_tables_match(gens, steps, exponents):
-    """Grow fresh tables of each (p, mode) through steps; after each step
-    every row, and for min every stored coordinate, equals the oracle."""
+    """Grow fresh tables of each (p, mode), p in exponents, and of (inf, min)
+    through steps; after each step every row, and for finite p min every
+    stored coordinate, equals the oracle."""
     top = -1  # the size the tables reach: a regrowth adds at least half
     for n in steps:
         if n > top:
             top = n if top < 0 else max(n, top + top // 2)
-    for p in exponents:
-        for mode in MODES:
-            oracle = brute_tables(gens, top, p, mode)
-            largest = _largest_optimal_z(oracle, gens, p) if mode == "min" else None
-            S = NumericalSemigroup(gens)
-            for n in steps:
-                ts = factor._table_set(S, n, p, mode)
-                if mode == "min":
-                    _assert_keyed_fill_matches(ts, oracle, largest)
-                else:
-                    for i, (row, want) in enumerate(zip(ts.rows, oracle)):
-                        assert row[: ts.size + 1] == want[: ts.size + 1], (p, mode, n, i)
+    for p, mode in [(p, mode) for p in exponents for mode in MODES] + [(INF, "min")]:
+        oracle = brute_tables(gens, top, p, mode)
+        keyed = mode == "min" and p != INF
+        largest = _largest_optimal_z(oracle, gens, p) if keyed else None
+        S = NumericalSemigroup(gens)
+        for n in steps:
+            ts = factor._table_set(S, n, p, mode)
+            if keyed:
+                _assert_keyed_fill_matches(ts, oracle, largest)
+            else:
+                for i, (row, want) in enumerate(zip(ts.rows, oracle)):
+                    assert row[: ts.size + 1] == want[: ts.size + 1], (p, mode, n, i)
 
 
 @pytest.mark.parametrize(
@@ -308,16 +311,18 @@ def _assert_grown_tables_match(gens, steps, exponents):
     ids=lambda g: ",".join(map(str, g)),
 )
 def test_later_gcd_above_one_matches_brute_force(gens):
-    """Where the generators after g_i share a gcd d > 1 the p >= 2 max scan
-    steps z by d / gcd(d, g_i) from the largest feasible z; the p = 2 min
+    """Where the generators after g_i share a gcd d > 1 the p >= 2 max and
+    inf min scans step z by d / gcd(d, g_i) over the feasible z, and inf
+    min skips the amounts gcd(d, g_i) does not divide; the p = 2 min
     envelope meets long runs of infeasible lines."""
     _assert_grown_tables_match(gens, [37, 160, 400, 700], (2, 3, 4))
 
 
 def test_two_close_generators_match_brute_force():
     """(71, 73): the max bound's B(z0) stays above best * h for small z0,
-    and each residue class of the envelope is sparse below 5039, the
-    Frobenius number."""
+    each residue class of the envelope is sparse below 5039, the Frobenius
+    number, and the inf min scan steps z by 73 from the first feasible z at
+    or above the balanced one."""
     _assert_grown_tables_match((71, 73), [300, 2000, 5100, 7000], (2, 3))
 
 
