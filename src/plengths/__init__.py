@@ -6,10 +6,13 @@ harness replaying every supported claim. All core arithmetic is exact.
 
 Each library module is registered here as a lazy module: it is in
 sys.modules at once, but its body runs on first attribute access, so a
-process runs only the modules of the command family it uses (`ns`:
-semigroup, factor, quasipoly, ns_claims; `acm`: acm, acm46, acm_claims;
-both: common, errors, verify). Modules refer to the other family as
-`from . import mod` and look `mod.name` up at call time. Registering the
+command runs only the modules whose code it calls: every command runs
+common and errors; `ns` commands run semigroup, factor for the commands
+that compute lengths or factorizations, and quasipoly for qp-table and
+verify; `acm` commands run acm, and acm46 for growth and for verify on
+(4, 6); verify commands run verify and their family's claim module,
+ns_claims or acm_claims. A module refers to one it may not need as
+`from . import mod` and looks `mod.name` up at call time. Registering the
 modules, rather than importing them inside the functions that need them,
 keeps every module in sys.modules after `import plengths.cli`, where the
 benchmark's tracer (bench/tracer.py) looks each traced module up. The public
@@ -97,7 +100,7 @@ _HOMES = {
     "NumericalSemigroup": "semigroup",
     "PlengthsError": "errors",
     "QuasiPolynomial": "quasipoly",
-    "RunConfig": "verify",
+    "RunConfig": "common",
     "SampleWindow": "quasipoly",
     "SmoothElement": "acm46",
     "ThresholdNotMetError": "errors",

@@ -15,9 +15,9 @@ import math
 import sys
 import time
 
-from . import acm, acm46, factor, quasipoly, semigroup
+from . import acm, acm46, factor, quasipoly, semigroup, verify
+from .common import FORMATS, RunConfig
 from .errors import PlengthsError
-from .verify import FORMATS, RunConfig, verify_acm, verify_semigroup
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -146,7 +146,7 @@ def _run_ns(args, cfg: RunConfig) -> tuple[int, str]:
         ok = all(r.passed for r in reports)
         body = {"semigroup": S.to_json(), "passed": ok, "rows": [r.to_json() for r in reports]}
         return (0 if ok else 1), _json_text(body)
-    return _verified(verify_semigroup(S, cfg), args.timing)
+    return _verified(verify.verify_semigroup(S, cfg), args.timing)
 
 
 def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
@@ -175,7 +175,7 @@ def _run_acm(args, cfg: RunConfig) -> tuple[int, str]:
         if cfg.fmt == "csv":
             return 0, series.to_csv()
         return 0, _json_text(series.to_json())
-    return _verified(verify_acm(M, cfg), args.timing)
+    return _verified(verify.verify_acm(M, cfg), args.timing)
 
 
 def _run_config(args) -> RunConfig:

@@ -1,4 +1,5 @@
-"""The pieces both command families use: p-lengths and integer factoring.
+"""The pieces both command families use: p-lengths, integer factoring and
+the run settings.
 
 The numerical-semigroup side (factor, quasipoly) and the congruence-monoid
 side (acm, acm46) each load this module, and neither loads the other's.
@@ -7,6 +8,7 @@ side (acm, acm46) each load this module, and neither loads the other's.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 from typing import NamedTuple
 
@@ -27,6 +29,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
+FORMATS = ("json", "csv")
+
+
+class RunConfig(NamedTuple):
+    """The run settings the command line sets: the factorization enumeration
+    cap, an explicit lo..hi window for windowed sweeps, the sampling seed
+    (it picks which n are sampled, never a computed value), and the output
+    format of `acm growth`. Each claim's own bounds live in its registry row
+    or beside its check."""
+
+    budget: int = 10_000_000
+    window: tuple[int, int] | None = None
+    seed: int = 1729
+    fmt: str = "json"
+
+
 class ExtremalResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
@@ -37,6 +55,15 @@ def check_exponent(p) -> None:
         return
     if not isinstance(p, int) or p < 0:
         raise ValueError(f"exponent must be a nonnegative integer or inf, got {p!r}")
+
+
+def check_integer(value, what: str) -> int:
+    """value as an int, for any integer type (operator.index); anything else,
+    such as 7.0 or 2.5, raises ValueError rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_mode(mode: str) -> None:

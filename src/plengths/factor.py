@@ -20,7 +20,14 @@ from itertools import repeat
 from math import gcd, isqrt
 from operator import add
 
-from .common import INF, TABLE_BYTE_LIMIT, ExtremalResult, check_exponent, check_mode
+from .common import (
+    INF,
+    TABLE_BYTE_LIMIT,
+    ExtremalResult,
+    check_exponent,
+    check_integer,
+    check_mode,
+)
 from .errors import (
     BudgetExceededError,
     NotInSemigroupError,
@@ -41,6 +48,7 @@ def factorizations(
     Empty list exactly when n is not in S. Raises BudgetExceededError once
     more than cap solutions would be produced.
     """
+    n = check_integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     gens = S.generators
@@ -486,6 +494,7 @@ def _tables(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
 
 def extremal_values(S: NumericalSemigroup, n_max: int, p, mode: str) -> list:
     """Extremal p-lengths for every amount 0..n_max (None where n is not in S)."""
+    n_max = check_integer(n_max, "n_max")
     check_exponent(p)
     check_mode(mode)
     return _tables(S, n_max, p, mode)[0][: n_max + 1]
@@ -561,6 +570,7 @@ def extremal_plength(S: NumericalSemigroup, n: int, p, mode: str) -> ExtremalRes
     (3, 2, 2, 1) where (3, 3, 0, 2) is also optimal.
     Raises NotInSemigroupError when n has no factorization.
     """
+    n = check_integer(n, "n")
     check_exponent(p)
     check_mode(mode)
     if n < 0:
@@ -621,6 +631,7 @@ def _above_threshold(S: NumericalSemigroup, n: int, p, mode: str) -> tuple[int, 
 def closed_max_inf(S: NumericalSemigroup, n: int) -> int:
     """Maximum coordinate bound (n - a) / g_1, a the residue entry mod g_1.
     Valid only for n in S above the threshold of step_rule(S, inf, "max")."""
+    n = check_integer(n, "n")
     g1 = S.generators[0]
     _above_threshold(S, n, INF, "max")
     a = S.apery(g1)[n % g1]
@@ -631,6 +642,7 @@ def closed_min_inf(S: NumericalSemigroup, n: int) -> int:
     """Minimum coordinate bound (n + a) / g with g = g_1 + ... + g_k, a the
     residue entry of -n mod g. Valid only for n in S above the threshold of
     step_rule(S, inf, "min")."""
+    n = check_integer(n, "n")
     _, g = _above_threshold(S, n, INF, "min")
     a = S.apery(g)[(-n) % g]
     return (n + a) // g
@@ -645,6 +657,7 @@ def closed_len_recurrence(S: NumericalSemigroup, n: int, mode: str) -> int:
     more step if that stays in the semigroup, then finishes with the exact
     solver.
     """
+    n = check_integer(n, "n")
     threshold, step = _above_threshold(S, n, 1, mode)
     steps = (n - threshold - 1) // step
     m = n - steps * step
@@ -693,22 +706,43 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
+def _min2_setup(S: NumericalSemigroup) -> tuple:
+    """What min2_integer_minimizer needs of S alone, built once and kept on
+    S beside its tables: N, the Bezout vector, the descent moves, the tails
+    G_i = g_i^2 + ... + g_k^2, and for the last free coordinate
+    e = gcd(g_{k-1}, g_k), s = g_k / e and the inverse of g_{k-1} / e mod s."""
+    setup = S._table_cache.get("min2")
+    if setup is None:
+        gens = S.generators
+        k = len(gens)
+        N = sum(g * g for g in gens)
+        moves = []  # z += t * v, v = g_j / d at i and -g_i / d at j
+        for i in range(k):
+            for j in range(i + 1, k):
+                d = gcd(gens[i], gens[j])
+                vi, vj = gens[j] // d, -gens[i] // d
+                moves.append((i, j, vi, vj, N * N * (vi * vi + vj * vj)))
+        tail = [0] * (k + 1)
+        for i in range(k - 1, -1, -1):
+            tail[i] = tail[i + 1] + gens[i] * gens[i]
+        e = gcd(gens[-2], gens[-1])
+        s = gens[-1] // e
+        setup = (N, _bezout_combination(gens), moves, tail, e, s, pow(gens[-2] // e, -1, s))
+        S._table_cache["min2"] = setup
+    return setup
+
+
 def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
     """Exact minimizer of sum(z_i^2) over all of Z^k with sum(z_i g_i) == n."""
+    n = check_integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     gens = S.generators
     k = len(gens)
-    N = sum(g * g for g in gens)
+    N, bezout, moves, tail, e, s, inv = _min2_setup(S)
 
-    z = [c * n for c in _bezout_combination(gens)]
+    z = [c * n for c in bezout]
     r = [N * zi - n * gi for zi, gi in zip(z, gens)]  # J(z) = sum(r_i^2)
-    moves = []  # z += t * v, v = g_j / d at i and -g_i / d at j
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = gcd(gens[i], gens[j])
-            vi, vj = gens[j] // d, -gens[i] // d
-            moves.append((i, j, vi, vj, N * N * (vi * vi + vj * vj)))
     improved = True
     while improved:
         improved = False
@@ -726,28 +760,42 @@ def min2_integer_minimizer(S: NumericalSemigroup, n: int) -> ExtremalResult:
     best_j = sum(ri * ri for ri in r)
     best_z = tuple(z)
     gk = gens[-1]
-    # tail[i] = G_i = g_i^2 + ... + g_k^2. With acc the J of coordinates < i
-    # and rem what they leave, the real minimum of J over the coordinates
-    # >= i is acc + D^2 / G_i, D = N rem - n G_i: no leaf below a node with
-    # D^2 >= (best_j - acc) G_i can come in under best_j.
-    tail = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        tail[i] = tail[i + 1] + gens[i] * gens[i]
+    # With acc the J of coordinates < i and rem what they leave, the real
+    # minimum of J over the coordinates >= i is acc + D^2 / G_i,
+    # D = N rem - n G_i: no leaf below a node with D^2 >= (best_j - acc) G_i
+    # can come in under best_j.
     partial = [0] * k
 
     def dfs(i: int, rem: int, acc: int) -> None:
         nonlocal best_j, best_z
-        if i == k - 1:
-            if rem % gk == 0:  # and acc + J(zk) < best_j, as the parent checked
-                partial[i] = rem // gk
-                best_j = acc + (N * partial[i] - n * gk) ** 2
-                best_z = tuple(partial)
-            return
-        gi, G = gens[i], tail[i + 1]
-        s = isqrt(best_j)
-        lo = -((s - n * gi) // N)
-        hi = (n * gi + s) // N
+        gi = gens[i]
+        root = isqrt(best_j)
+        lo = -((root - n * gi) // N)
+        hi = (n * gi + root) // N
         center = _round_div(n * gi, N)
+        if i == k - 2:
+            # rem - z g_{k-1} is a multiple of g_k only for z = (rem / e) inv
+            # mod s, and for no z when e does not divide rem: walk that class
+            # by distance from center, the lower one first on a tie, and take
+            # each leaf that strictly improves. A z outside lo..hi has
+            # (N z - n g_i)^2 > best_j, so it never does.
+            if rem % e:
+                return
+            down = center - (center - rem // e * inv) % s
+            up = down + s
+            while down >= lo or up <= hi:
+                if up > hi or (down >= lo and center - down <= up - center):
+                    zv, down = down, down - s
+                else:
+                    zv, up = up, up + s
+                zk = (rem - zv * gi) // gk
+                total = acc + (N * zv - n * gi) ** 2 + (N * zk - n * gk) ** 2
+                if total < best_j:
+                    partial[i], partial[i + 1] = zv, zk
+                    best_j = total
+                    best_z = tuple(partial)
+            return
+        G = tail[i + 1]
         for d in range(max(center - lo, hi - center) + 1):
             # lo..hi by distance from center, the lower one first on a tie
             for zv in (center - d, center + d) if d else (center,):

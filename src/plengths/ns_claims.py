@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 from math import isqrt, lcm
-from typing import TYPE_CHECKING
 
 from . import factor
-from .common import INF
+from .common import INF, RunConfig
 from .quasipoly import (
     check_row,
     expected_rows,
@@ -22,9 +21,6 @@ from .quasipoly import (
     verify_qp_attributes,
 )
 from .semigroup import NumericalSemigroup
-
-if TYPE_CHECKING:
-    from .verify import RunConfig
 
 SWEEP = 200  # n examined past each threshold when no window is given
 

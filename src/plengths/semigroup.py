@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from math import gcd
 
-from .common import TABLE_BYTE_LIMIT
+from .common import TABLE_BYTE_LIMIT, check_integer
 from .errors import (
     BudgetExceededError,
     ContainsOneError,
@@ -69,7 +69,7 @@ class NumericalSemigroup:
     __slots__ = ("generators", "_ap", "_apery_cache", "_table_cache")
 
     def __init__(self, raw_generators):
-        gens = sorted(set(int(g) for g in raw_generators))
+        gens = sorted({check_integer(g, "generator") for g in raw_generators})
         if not gens:
             raise ValueError("need at least one generator")
         if gens[0] < 1:
@@ -88,7 +88,8 @@ class NumericalSemigroup:
         self.generators = tuple(gens)
         self._ap = _apery(gens[0], gens)
         self._apery_cache = {gens[0]: self._ap}
-        # (p, mode) -> the extremal tables factor builds and grows over S
+        # (p, mode) -> the extremal tables factor builds and grows over S;
+        # "min2" -> what factor's integer minimizer needs of S alone
         self._table_cache: dict = {}
         # x is generated by the others iff x - g lies in S for a smaller
         # generator g: the parts of x - g are all below x

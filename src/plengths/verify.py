@@ -13,26 +13,12 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import acm_claims, ns_claims
+from .common import RunConfig
 from .errors import PlengthsError
 
 if TYPE_CHECKING:
     from .acm import Acm
     from .semigroup import NumericalSemigroup
-
-FORMATS = ("json", "csv")
-
-
-class RunConfig(NamedTuple):
-    """The run settings the command line sets: the factorization enumeration
-    cap, an explicit lo..hi window for windowed sweeps, the sampling seed
-    (it picks which n are sampled, never a computed value), and the output
-    format of `acm growth`. Each claim's own bounds live in its registry row
-    or beside its check."""
-
-    budget: int = 10_000_000
-    window: tuple[int, int] | None = None
-    seed: int = 1729
-    fmt: str = "json"
 
 
 class CheckResult(NamedTuple):

@@ -68,6 +68,27 @@ class TestPlength:
             assert str(exc.value) == "mode must be 'min' or 'max', got 'mid'"
 
 
+AMOUNT_CALLS = {
+    "extremal_plength": lambda S, n: extremal_plength(S, n, 1, "min"),
+    "extremal_values": lambda S, n: extremal_values(S, n, 1, "min"),
+    "closed_max_inf": closed_max_inf,
+    "closed_min_inf": closed_min_inf,
+    "closed_len_recurrence": lambda S, n: closed_len_recurrence(S, n, "min"),
+    "min2_integer_minimizer": min2_integer_minimizer,
+    "min2_shift_check": min2_shift_check,
+    "factorizations": factorizations,
+}
+
+
+@pytest.mark.parametrize("call", list(AMOUNT_CALLS.values()), ids=list(AMOUNT_CALLS))
+def test_amount_must_be_an_integer(semigroups, call):
+    """A float amount is refused with a ValueError naming it, never
+    truncated or left to fail inside a table builder: extremal_plength at
+    7.0 used to end in an AttributeError from the table sizing."""
+    with pytest.raises(ValueError, match=r"must be an integer, got 7\.0"):
+        call(semigroups[(2, 3)], 7.0)
+
+
 class TestFactorizations:
     def test_two_ways_to_six(self, semigroups):
         assert set(factorizations(semigroups[(2, 3)], 6)) == {(3, 0), (0, 2)}
@@ -420,7 +441,17 @@ class TestMin2:
 
     @pytest.mark.parametrize(
         "gens",
-        [(2, 3), (3, 5, 7), (6, 9, 20), (5, 7, 9, 11), (4, 6, 9), (7, 8, 9, 10, 11)],
+        [
+            (2, 3),
+            (3, 5, 7),
+            (6, 9, 20),
+            (5, 7, 9, 11),
+            (4, 6, 9),
+            (7, 8, 9, 10, 11),
+            (6, 10, 15),  # gcd(g_{k-1}, g_k) = 5
+            (10, 15, 21),  # gcd(g_{k-1}, g_k) = 3
+            (71, 73),  # k = 2: the leaf class is searched at the root
+        ],
         ids=lambda g: ",".join(map(str, g)),
     )
     def test_matches_oracle(self, gens):

@@ -19,15 +19,17 @@ SRC = str(ROOT / "src")
 NS_MODULES = {"plengths.semigroup", "plengths.factor", "plengths.quasipoly", "plengths.ns_claims"}
 ACM_MODULES = {"plengths.acm", "plengths.acm46", "plengths.acm_claims"}
 
-# Runs `cli.main` on argv and prints the plengths modules whose bodies ran:
-# a lazy module not yet loaded is of a ModuleType subclass, and type() reads
-# no attribute, so listing them loads nothing.
+# Runs `cli.main` on argv, if any, and prints the plengths modules whose
+# bodies ran: a lazy module not yet loaded is of a ModuleType subclass, and
+# type() reads no attribute, so listing them loads nothing.
 RUN_COMMAND = """
 import contextlib, io, json, sys, types
 sys.path.insert(0, sys.argv[1])
 from plengths import cli
+rc = 0
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    rc = cli.main(sys.argv[2:])
+    if sys.argv[2:]:
+        rc = cli.main(sys.argv[2:])
 ran = sorted(k for k, m in list(sys.modules.items())
              if k.startswith("plengths.") and type(m) is types.ModuleType)
 print(json.dumps({"rc": rc, "ran": ran, "fractions": "fractions" in sys.modules}))
@@ -122,6 +124,38 @@ def test_each_family_runs_only_its_own_modules():
         ran = set(res["ran"])
         assert {"plengths.acm", "plengths.acm46"} <= ran and not ran & NS_MODULES, ran
         assert not res["fractions"]
+
+
+BASE = {"plengths.cli", "plengths.common", "plengths.errors"}
+ACM_VERIFY = BASE | {"plengths.acm", "plengths.acm_claims", "plengths.verify"}
+
+# argv -> every plengths module whose body the command runs: the five acm
+# commands of the benchmark, `ns verify` and `ns plength`, and (no argv)
+# `import plengths.cli` alone.
+COMMAND_MODULES = {
+    (): BASE,
+    ("acm", "verify", "--a", "4", "--b", "6"): ACM_VERIFY | {"plengths.acm46"},
+    ("acm", "verify", "--a", "1", "--b", "4"): ACM_VERIFY,
+    ("acm", "verify", "--a", "6", "--b", "6"): ACM_VERIFY,
+    ("acm", "plength", "--a", "4", "--b", "6", "--x", str(70**11), "--p", "1", "--mode", "max"):
+        BASE | {"plengths.acm"},
+    ("acm", "growth", "--a", "4", "--b", "6", "--x", "70", "--p", "inf", "--mode", "min",
+     "--nmax", "16"): BASE | {"plengths.acm", "plengths.acm46"},
+    ("ns", "verify", "--gens", "2,3"): BASE | NS_MODULES | {"plengths.verify"},
+    ("ns", "plength", "--gens", "3,5,7", "--n", "100", "--p", "2", "--mode", "min"):
+        BASE | {"plengths.semigroup", "plengths.factor"},
+}
+
+def test_each_command_runs_exactly_the_modules_it_calls():
+    """acm46 runs only for (4, 6) verify and growth, and verify only for
+    verify commands; `import plengths.cli` runs neither."""
+    wrong = {}
+    for argv, want in COMMAND_MODULES.items():
+        res = _child(RUN_COMMAND, *argv)
+        assert res["rc"] == 0, argv
+        if set(res["ran"]) != want:
+            wrong[" ".join(argv)] = sorted(set(res["ran"]) ^ want)
+    assert wrong == {}
 
 
 def test_threads_may_share_modules_no_thread_has_run():

@@ -58,6 +58,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NumericalSemigroup([0, 3])
 
+    def test_rejects_non_integral_generator(self):
+        # int(2.5) would silently build <2, 3>
+        with pytest.raises(ValueError, match="generator must be an integer, got 2.5"):
+            NumericalSemigroup([2.5, 3])
+
 
 class TestMembership:
     def test_small_cases(self, semigroups):
