@@ -20,7 +20,16 @@ from itertools import compress
 from math import isqrt
 from operator import mul
 
-from .common import INF, ExtremalResult, _prime_powers, check_exponent, check_mode, plength
+from .common import (
+    INF,
+    ExtremalResult,
+    _prime_powers,
+    check_bytes,
+    check_exponent,
+    check_integer,
+    check_mode,
+    plength,
+)
 from .errors import BudgetExceededError, NotIdempotentError, NotInMonoidError
 
 DEFAULT_ACM_CAP = 1_000_000
@@ -91,12 +100,9 @@ class ExponentLattice:
 
     def check_size(self, count: int) -> None:
         """Raise BudgetExceededError before count bitsets outgrow REACH_BYTE_LIMIT."""
-        need = count * self.nbits // 8
-        if need > REACH_BYTE_LIMIT:
-            raise BudgetExceededError(
-                f"reachability over exponents {self.e} needs {need} bytes,"
-                f" more than {REACH_BYTE_LIMIT}"
-            )
+        check_bytes(
+            count * self.nbits // 8, REACH_BYTE_LIMIT, f"reachability over exponents {self.e}"
+        )
 
     def reach(self, s: int, off: int, lo: int = 0, hi: int | None = None) -> int:
         """The union of s + m * u over lo <= m <= hi (m unbounded when hi is
@@ -220,6 +226,7 @@ class Acm:
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
+        a, b = check_integer(a, "a"), check_integer(b, "b")
         if a < 1 or b < 1:
             raise ValueError("need a, b >= 1")
         if (a * a - a) % b != 0:
@@ -229,6 +236,7 @@ class Acm:
         self.b = b
 
     def contains(self, x: int) -> bool:
+        x = check_integer(x, "x")
         if x < 1:
             raise ValueError("elements are positive integers")
         return x == 1 or x % self.b == self.a % self.b
@@ -238,6 +246,7 @@ class Acm:
 
     def is_atom(self, x: int) -> bool:
         """No divisor pair d * (x/d) with both factors non-unit members."""
+        x = check_integer(x, "x")
         if x == 1 or not self.contains(x):
             raise NotInMonoidError(f"{x} is not a non-unit element of {self!r}")
         return not any(1 < d < x and d in self and x // d in self for d in _divisors(x))
@@ -246,15 +255,13 @@ class Acm:
         """All atoms <= limit, ascending: a sieve of one byte per member marks
         each u * v <= limit for members u <= v. Raises BudgetExceededError
         before it would exceed REACH_BYTE_LIMIT bytes."""
+        limit = check_integer(limit, "limit")
         b = self.b
         start = self.a if self.a > 1 else self.a + b
         if limit < start:
             return []
         count = (limit - start) // b + 1
-        if count > REACH_BYTE_LIMIT:
-            raise BudgetExceededError(
-                f"atom sieve to {limit} needs {count} bytes, more than {REACH_BYTE_LIMIT}"
-            )
+        check_bytes(count, REACH_BYTE_LIMIT, f"atom sieve to {limit}")
         atom = bytearray(b"\x01") * count
         # member i is start + i * b; u * (u + j * b) is member (u*u - start) // b + j * u
         for u in range(start, isqrt(limit) + 1, b):
@@ -268,6 +275,7 @@ class Acm:
         x == 1 has exactly the empty factorization. Raises
         BudgetExceededError once more than cap multisets are found.
         """
+        x = check_integer(x, "x")
         if not self.contains(x):
             raise NotInMonoidError(f"{x} is not in {self!r}")
         if x == 1:
@@ -314,6 +322,7 @@ class Acm:
         they would exceed REACH_BYTE_LIMIT bytes. p >= 2 stays on enumeration:
         the optimum over factorizations(x, cap).
         """
+        x = check_integer(x, "x")
         check_exponent(p)
         check_mode(mode)
         if not self.contains(x):

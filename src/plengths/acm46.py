@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .acm import ExponentLattice
-from .common import INF, check_mode
+from .common import INF, check_integer, check_mode
 from .errors import (
     BudgetExceededError,
     ConstructionInvalidError,
@@ -44,6 +44,7 @@ class SmoothElement(NamedTuple):
 
 
 def smooth_from_int(x: int) -> SmoothElement:
+    x = check_integer(x, "x")
     if x < 1:
         raise ValueError("not a {2,5,7}-smooth integer")
     e = [0, 0, 0]
@@ -106,6 +107,7 @@ def ell0_max_exact(x: SmoothElement, n: int) -> int:
     feasible size is the answer. It raises BudgetExceededError past
     DEFAULT_NODE_BUDGET nodes.
     """
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     e = _power(x, n)
@@ -180,6 +182,7 @@ def construct_70_factorization(
     re-verified exponentwise before returning; a mismatch raises instead of
     returning a bad certificate.
     """
+    k = check_integer(k, "k")
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2")
     n = sum(a * a for a in range(1, k + 1))
@@ -260,6 +263,7 @@ def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
     base x need not be a member when x^n is: x^n that is no member raises
     NotInMonoidError.
     """
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     check_mode(mode)
@@ -320,6 +324,7 @@ def _loglog_fit(points: list[tuple[int, int]]) -> tuple[float, float]:
 
 def growth_series(x: SmoothElement, p, mode: str, n_max: int) -> GrowthSeries:
     """Exact values of the extremal functional at x^n for n = 1 .. n_max."""
+    n_max = check_integer(n_max, "n_max")
     if n_max < 2:
         raise ValueError("need n_max >= 2 to fit anything")
     points = [(n, power_extremal(x, n, p, mode)) for n in range(1, n_max + 1)]

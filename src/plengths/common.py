@@ -57,6 +57,13 @@ def check_exponent(p) -> None:
         raise ValueError(f"exponent must be a nonnegative integer or inf, got {p!r}")
 
 
+def check_bytes(need: int, limit: int, what: str) -> None:
+    """Raise BudgetExceededError when `what` would take need bytes, more than
+    limit. Callers size what they build and call this before allocating."""
+    if need > limit:
+        raise BudgetExceededError(f"{what} would take {need} bytes, over the limit of {limit}")
+
+
 def check_integer(value, what: str) -> int:
     """value as an int, for any integer type (operator.index); anything else,
     such as 7.0 or 2.5, raises ValueError rather than being truncated."""

@@ -24,6 +24,7 @@ from .common import (
     INF,
     TABLE_BYTE_LIMIT,
     ExtremalResult,
+    check_bytes,
     check_exponent,
     check_integer,
     check_mode,
@@ -465,11 +466,7 @@ def _table_set(S: NumericalSemigroup, n_max: int, p, mode: str) -> _TableSet:
         if ts is not None and ts.size >= n_max:
             return ts
         need = (n_max + 1) * _bytes_per_amount(gens, n_max, p, mode) + _fixed_bytes(gens)
-        if need > TABLE_BYTE_LIMIT:
-            raise BudgetExceededError(
-                f"tables up to {n_max} would take {need} bytes,"
-                f" over the limit of {TABLE_BYTE_LIMIT}"
-            )
+        check_bytes(need, TABLE_BYTE_LIMIT, f"tables up to {n_max}")
         if ts is None:
             ts = S._table_cache[key] = _TableSet(gens)
             size = n_max

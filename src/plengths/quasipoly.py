@@ -41,23 +41,6 @@ class SampleWindow:
         return len(self.values)
 
 
-def _differences(w: SampleWindow, period: int, depth: int):
-    """Levels 0, 1, ..., depth of the period-step difference table of w.
-
-    Level j holds the j-fold difference f(n + period) - f(n) at n = start,
-    start + 1, ...; it is period entries shorter than level j - 1.
-    """
-    level = w.values
-    yield level
-    for _ in range(depth):
-        if len(level) <= period:
-            raise WindowTooShortError(
-                f"window of length {len(w)} cannot absorb {depth} differences of step {period}"
-            )
-        level = list(map(sub, level[period:], level))
-        yield level
-
-
 def _level_samples(values, t: int, period: int) -> tuple[int, ...]:
     """Entries n = 0, the middle and the last of level t of the period-step
     difference table of values, each the exact binomial sum
@@ -72,20 +55,6 @@ def _level_samples(values, t: int, period: int) -> tuple[int, ...]:
         sum(c * values[n + i * period] for i, c in enumerate(coef))
         for n in (0, last // 2, last)
     )
-
-
-def differences_vanish(w: SampleWindow, degree: int, period: int) -> bool:
-    """(degree+1)-fold period-step difference of the window is identically zero.
-
-    Three sampled entries of that level are tried first: a nonzero one
-    answers False. Otherwise the whole table is built, which also raises
-    WindowTooShortError where the window cannot absorb the differences.
-    """
-    if any(_level_samples(w.values, degree + 1, period)):
-        return False
-    for level in _differences(w, period, degree + 1):
-        pass
-    return not any(level)
 
 
 class QuasiPolynomial:
@@ -131,9 +100,12 @@ def qp_fit(w: SampleWindow, degree: int, period: int) -> QuasiPolynomial | None:
     """Fit the window exactly as a quasipolynomial of the given shape.
 
     Succeeds exactly when the (degree+1)-fold period-step difference of the
-    window vanishes; None otherwise. The fitted degree is then the top
-    difference level <= degree that is not all zero (0 for an all-zero
-    window), so an inflated requested degree is trimmed to the exact one.
+    window vanishes; None otherwise. Three sampled entries of that level are
+    tried first, and a nonzero one answers None. Otherwise the window is
+    differenced level by level up to the first level t >= 1 that is all
+    zero; every level above it is zero too, so the fitted degree is t - 1,
+    the top level not all zero (0 for an all-zero window), and an inflated
+    requested degree is trimmed to the exact one.
     """
     if degree < 0 or period < 1:
         raise ValueError("degree >= 0 and period >= 1 required")
@@ -141,23 +113,24 @@ def qp_fit(w: SampleWindow, degree: int, period: int) -> QuasiPolynomial | None:
         raise WindowTooShortError(
             f"need at least {(degree + 2) * period} samples, got {len(w)}"
         )
-    top, lead = 0, w.values
-    for t, level in enumerate(_differences(w, period, degree + 1)):
-        if any(level):
-            top, lead = t, level
-    if top > degree:
+    if any(_level_samples(w.values, degree + 1, period)):
         return None
-    return _read_off(w.start, lead, top, period)
+    level = w.values
+    for t in range(1, degree + 2):
+        nxt = list(map(sub, level[period:], level))
+        if not any(nxt):
+            return _read_off(w.start, level, t - 1, period)
+        level = nxt
+    return None
 
 
 def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> QuasiPolynomial | None:
     """Smallest-period fit on the grid, ties broken by smallest degree.
 
-    A period is skipped when three sampled entries of each difference level
-    1..degree_max + 1 include a nonzero one, so that no level vanishes;
-    otherwise the window is differenced once more per degree until a level
-    vanishes. Returns None after exhausting every (degree, period) with
-    degree <= degree_max and period <= period_max.
+    The first qp_fit(w, degree_max, period) that succeeds for period =
+    1, ..., period_max, its degree trimmed to the smallest that fits; None
+    after exhausting every (degree, period) with degree <= degree_max and
+    period <= period_max.
     """
     if degree_max < 0 or period_max < 1:
         raise ValueError("degree_max >= 0 and period_max >= 1 required")
@@ -166,12 +139,9 @@ def qp_detect(w: SampleWindow, degree_max: int, period_max: int) -> QuasiPolynom
             f"need at least {(degree_max + 2) * period_max} samples, got {len(w)}"
         )
     for period in range(1, period_max + 1):
-        if all(any(_level_samples(w.values, t, period)) for t in range(1, degree_max + 2)):
-            continue
-        for t, level in enumerate(_differences(w, period, degree_max + 1)):
-            if t and not any(level):
-                return _read_off(w.start, prev, t - 1, period)
-            prev = level
+        qp = qp_fit(w, degree_max, period)
+        if qp is not None:
+            return qp
     return None
 
 
@@ -182,7 +152,7 @@ def _period_minimal(w: SampleWindow, degree: int, period: int) -> bool:
     divides period / q for some prime q dividing period, so testing those
     largest proper divisors decides it.
     """
-    return not any(differences_vanish(w, degree, period // q) for q, _ in _prime_powers(period))
+    return all(qp_fit(w, degree, period // q) is None for q, _ in _prime_powers(period))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 import sys
 from math import gcd
 
-from .common import TABLE_BYTE_LIMIT, check_integer
+from .common import TABLE_BYTE_LIMIT, check_bytes, check_integer
 from .errors import (
-    BudgetExceededError,
     ContainsOneError,
     DegenerateError,
     GcdNotOneError,
@@ -41,11 +40,7 @@ def _apery(m: int, gens) -> tuple[int, ...]:
     Raises BudgetExceededError, before allocating, when _apery_bytes is
     more than TABLE_BYTE_LIMIT.
     """
-    need = _apery_bytes(m, gens)
-    if need > TABLE_BYTE_LIMIT:
-        raise BudgetExceededError(
-            f"an Apery table mod {m} would take {need} bytes, over the limit of {TABLE_BYTE_LIMIT}"
-        )
+    check_bytes(_apery_bytes(m, gens), TABLE_BYTE_LIMIT, f"an Apery table mod {m}")
     ap: list = [0] + [None] * (m - 1)
     for a in gens:
         d = gcd(m, a)

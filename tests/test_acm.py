@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from plengths import Acm, BudgetExceededError, NotIdempotentError, NotInMonoidError
+from plengths import Acm, BudgetExceededError, NotIdempotentError, NotInMonoidError, acm46
 from plengths.acm import factorization_to_json
 from plengths.acm_claims import omega
 
@@ -29,6 +29,33 @@ class TestConstruction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Acm(0, 4)
+
+
+X70 = acm46.SmoothElement(1, 1, 1)
+
+NON_INTEGER_CALLS = {
+    "Acm-a": lambda: Acm(4.0, 6),
+    "Acm-b": lambda: Acm(4, 6.0),
+    "contains": lambda: Acm(1, 4).contains(5.0),
+    "is_atom": lambda: Acm(1, 4).is_atom(9.0),
+    "atoms_up_to": lambda: Acm(4, 6).atoms_up_to(100.5),
+    "factorizations": lambda: Acm(1, 4).factorizations(5.0**30),
+    "extremal_plength": lambda: Acm(4, 6).extremal_plength(28.0, 1, "min"),
+    "smooth_from_int": lambda: acm46.smooth_from_int(70.0),
+    "power_extremal": lambda: acm46.power_extremal(X70, 2.0, 1, "max"),
+    "ell0_max_exact": lambda: acm46.ell0_max_exact(X70, 2.0),
+    "growth_series": lambda: acm46.growth_series(X70, 1, "max", 3.0),
+    "construct_70_factorization": lambda: acm46.construct_70_factorization(2.0),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_INTEGER_CALLS.values()), ids=list(NON_INTEGER_CALLS))
+def test_inputs_must_be_integers(call):
+    """A float is refused with a ValueError naming it, never used as is:
+    Acm(4, 6).extremal_plength(28.0, 1, "min") used to return the witness
+    ((28.0, 1),), and acm46.smooth_from_int(70.0) the triple (1, 1, 1)."""
+    with pytest.raises(ValueError, match=r"must be an integer, got \d+\.\d"):
+        call()
 
 
 class TestMembership:

@@ -333,7 +333,11 @@ class TestBudgets:
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(
+                BudgetExceededError,
+                match=r"^reachability over exponents \(385, 385, 385\) would take \d+ bytes,"
+                r" over the limit of 67108864$",
+            ):
                 power_extremal(smooth_from_int(70), 385, 1, "min")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -343,7 +347,11 @@ class TestBudgets:
     def test_atom_sieve_refused_before_it_is_allocated(self):
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(
+                BudgetExceededError,
+                match=r"^atom sieve to 1000000000000 would take 249999999999 bytes,"
+                r" over the limit of 67108864$",
+            ):
                 Acm(1, 4).atoms_up_to(10**12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

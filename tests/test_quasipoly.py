@@ -19,7 +19,6 @@ from plengths import (
 from plengths.quasipoly import (
     _level_samples,
     _period_minimal,
-    differences_vanish,
     expected_rows,
     qp_threshold,
     sample_extremal,
@@ -91,9 +90,9 @@ class TestQpFit:
 
     def test_differences_too_short(self):
         with pytest.raises(WindowTooShortError):
-            differences_vanish(SampleWindow(0, (1, 2, 3)), 0, 5)
+            qp_fit(SampleWindow(0, (1, 2, 3)), 0, 5)
         with pytest.raises(WindowTooShortError):
-            differences_vanish(SampleWindow(0, (1, 2, 3, 4, 5)), 1, 3)
+            qp_fit(SampleWindow(0, (1, 2, 3, 4, 5)), 1, 3)
 
     def test_negative_when_not_polynomial(self):
         w = SampleWindow(0, tuple(2**n for n in range(12)))
@@ -138,7 +137,7 @@ class TestQpDetect:
         qp = qp_detect(w, 2, 12)
         assert qp is not None and qp.period == 4
         for period in range(1, 13):
-            fits = differences_vanish(w, 2, period)
+            fits = qp_fit(w, 2, period) is not None
             assert fits == (period % 4 == 0)
 
     def test_json_round(self, semigroups):
@@ -272,12 +271,12 @@ def _hidden_difference_window(data, period, t, length):
 )
 def test_zero_samples_fall_back_to_the_full_table(period, t, length, data):
     """A level whose sampled entries are all zero but which is not all zero
-    is not reported as vanishing, by differences_vanish, _period_minimal
-    or qp_detect."""
+    is not reported as vanishing, by qp_fit, _period_minimal or
+    qp_detect."""
     w = _hidden_difference_window(data, period, t, length)
     assert not any(_level_samples(w.values, t, period))
     assert oracle_vanish(w, t - 1, period) is False
-    assert differences_vanish(w, t - 1, period) is False
+    assert qp_fit(w, t - 1, period) is None
     proper = [d for d in range(1, 2 * period) if 2 * period % d == 0]
     every = not any(oracle_vanish(w, t - 1, d) for d in proper)
     assert _period_minimal(w, t - 1, 2 * period) == every
@@ -287,17 +286,17 @@ def test_zero_samples_fall_back_to_the_full_table(period, t, length, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2), st.data())
 def test_difference_test_equals_full_table(period, degree, data):
-    """Sampling first changes no answer of differences_vanish, and the
+    """Sampling first changes no answer of qp_fit, and the
     samples are the full table's entries at n = 0, the middle and the last."""
     true_period = data.draw(st.integers(min_value=1, max_value=4))
     length = data.draw(st.integers(min_value=(degree + 2) * period, max_value=40))
     w = _window(data, true_period, degree, length)
     for d in range(3):
-        if len(w) > (d + 1) * period:
-            assert differences_vanish(w, d, period) == oracle_vanish(w, d, period)
+        if len(w) >= (d + 2) * period:
+            assert (qp_fit(w, d, period) is not None) == oracle_vanish(w, d, period)
         else:
             with pytest.raises(WindowTooShortError):
-                differences_vanish(w, d, period)
+                qp_fit(w, d, period)
     for t, level in enumerate(difference_levels(w.values, period, 3)):
         last = len(level) - 1
         want = (level[0], level[last // 2], level[last]) if level else ()
