@@ -7,28 +7,25 @@ and e2 + e5 is even, and a member is an atom iff (e2, e5) == (2, 0) or
 e2 == 1 with e5 odd, so the atoms dividing a power come in closed form. The
 least and greatest total (p = 1) and peak (p = inf) multiplicity of a power
 are read off the suffix tables of acm.ExponentLattice over those atoms. The
-distinct-atom maximum (p = 0) is a branch and bound over atom subsets: it
-reaches powers such as 70^385, whose exponent lattice is far beyond the
-tables' size limit. The rest is theory: closed forms for the distinct-atom
-maximum of powers of 28 and of 40, a self-verifying factorization family for
-powers of 70, good and evil atoms, and growth-series experiments.
+distinct-atom maximum (p = 0) is one exact table over the count and the
+five-sum of the atoms 2 * 5^b * 7^c: it reaches powers such as 70^1000,
+whose exponent lattice is far beyond the lattice's size limit. The rest is
+theory: closed forms for the distinct-atom maximum of powers of 28 and of
+40, a self-verifying factorization family for powers of 70, good and evil
+atoms, and growth-series experiments.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 from .acm import ExponentLattice
-from .common import INF, check_integer, check_mode
-from .errors import (
-    BudgetExceededError,
-    ConstructionInvalidError,
-    NotInMonoidError,
-    ThresholdNotMetError,
-)
-
-DEFAULT_NODE_BUDGET = 5_000_000
+from .common import INF, TABLE_BYTE_LIMIT, check_bytes, check_integer, check_mode
+from .errors import ConstructionInvalidError, NotInMonoidError, ThresholdNotMetError
 
 
 class SmoothElement(NamedTuple):
@@ -90,67 +87,57 @@ def atom_divisors(x: SmoothElement) -> list[SmoothElement]:
     return out
 
 
-def _residual_ok(e2: int, e5: int, e7: int) -> bool:
-    """Leftover exponents form the identity or a member (hence factorable)."""
-    if e2 == e5 == e7 == 0:
-        return True
-    return e2 >= 1 and (e2 + e5) % 2 == 0
-
-
 def ell0_max_exact(x: SmoothElement, n: int) -> int:
     """Largest number of distinct atoms over all factorizations of x^n.
 
-    A set D of distinct atoms is the support part of some factorization iff
-    the componentwise sum of D fits under the exponents of x^n and the
-    leftover is the identity or again a member. The search walks subset
-    sizes downward with weight-sorted branch and bound, so the first
-    feasible size is the answer. It raises BudgetExceededError past
-    DEFAULT_NODE_BUDGET nodes.
+    Let e = x^n. A set D of distinct atoms is the support part of some
+    factorization iff its sum s fits under e and e - s is the identity or a
+    member. The fives of D sum to its number of type-B atoms mod 2, so
+    e - s always has e2 + e5 even: it is a member iff its e2 is >= 1.
+
+    The atoms are A_c = 4 * 7^c and B_(b,c) = 2 * 5^b * 7^c with b odd. By
+    exchange, t_A type-A atoms take c = 0 .. t_A - 1, and the type-B atoms
+    fill rows c = 0, 1, ... of L_c atoms, b = 1, 3, ..., 2 L_c - 1: a row
+    costs L_c^2 fives and c * L_c sevens. least[u][s5] is the least
+    seven-sum of u type-B atoms whose five-sum is s5; a new bottom row of L
+    atoms lifts the u - L atoms above it by one seven each. min(least[u])
+    only grows with u, so rows stop once it cannot fit.
+
+    The answer is the largest t_A + t_B whose five and seven sums fit, with
+    2 t_A + t_B <= e2 - 1, or == e2 for an exact fit: raising c of the atom
+    with the largest c, or b of the type-B atom with the largest b (the five
+    slack is even), absorbs any slack, so the same least sums decide it;
+    with t_B = 0 it also needs e5 == 0. A table of (min(e2, e5) + 1) *
+    (e5 + 1) slots past TABLE_BYTE_LIMIT raises BudgetExceededError unbuilt.
     """
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    e = _power(x, n)
-    atoms = atom_divisors(e)
-    atoms.sort(key=lambda u: (u.e5 + u.e7, u.e2))
-    na = len(atoms)
-    weights = [u.e5 + u.e7 for u in atoms]
-    budget57 = e.e5 + e.e7
-    nodes = 0
-
-    # largest size worth trying: lightest atoms must fit both budgets
-    hi = 0
-    acc = 0
-    for w in weights:
-        if acc + w > budget57 or hi + 1 > e.e2:
+    e2, e5, e7 = e = _power(x, n)
+    if not smooth_is_member(e):
+        raise NotInMonoidError(f"{tuple(e)} is not a member")
+    top = min(e2, e5)
+    never = e7 + 1  # any larger seven-sum cannot fit
+    # a slot: its pointer and an int object below never + top^2, one digit long
+    slot = 8 + sys.getsizeof(never + top * top) + sys.int_info.sizeof_digit
+    what = f"a distinct-atom table for {tuple(e)}"
+    check_bytes((top + 1) * (e5 + 1) * slot, TABLE_BYTE_LIMIT, what)
+    least, best = [], 0
+    for t_b in range(top + 1):
+        row = [never] * (e5 + 1) if t_b else [0] + [never] * e5
+        for size in range(1, min(t_b, math.isqrt(e5)) + 1):
+            lifted = map(add, least[t_b - size], repeat(t_b - size))
+            row[size * size :] = map(min, row[size * size :], lifted)
+        least.append(row)
+        room = e7 - min(row)
+        if room < 0:
             break
-        acc += w
-        hi += 1
-
-    def dfs(t: int, start: int, cnt: int, s2: int, s5: int, s7: int, wsum: int) -> bool:
-        """Whether t - cnt more atoms from atoms[start:] complete a support."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > DEFAULT_NODE_BUDGET:
-            raise BudgetExceededError("distinct-atom search exceeded node budget")
-        if cnt == t:
-            return _residual_ok(e.e2 - s2, e.e5 - s5, e.e7 - s7)
-        need = t - cnt
-        for j in range(start, na - need + 1):
-            u = atoms[j]
-            if s2 + u.e2 > e.e2 or s5 + u.e5 > e.e5 or s7 + u.e7 > e.e7:
-                continue
-            rest = sum(weights[j + 1 : j + need])
-            if wsum + weights[j] + rest > budget57:
-                break  # atoms are weight-sorted, later ones only heavier
-            if dfs(t, j + 1, cnt + 1, s2 + u.e2, s5 + u.e5, s7 + u.e7, wsum + weights[j]):
-                return True
-        return False
-
-    for t in range(hi, 0, -1):  # t <= hi fits both budgets with the lightest atoms
-        if dfs(t, 0, 0, 0, 0, 0, 0):
-            return t
-    return 0
+        t_a = (math.isqrt(8 * room + 1) + 1) // 2  # most type-A atoms the sevens allow
+        half, odd = divmod(e2 - t_b, 2)
+        exact = not odd and half <= t_a and (t_b or not e5)
+        # with t_b == e2 and no exact fit, t_b - 1 was reached at t_b - 1
+        best = max(best, t_b + (half if exact else min(t_a, (e2 - 1 - t_b) // 2)))
+    return best
 
 
 def _triangular(k: int) -> int:
@@ -259,7 +246,7 @@ def good_atoms(x: SmoothElement) -> list[SmoothElement]:
 def power_extremal(x: SmoothElement, n: int, p, mode: str) -> int:
     """Exact extremal p-length of x^n for p in {0, 1, inf}.
 
-    p == 0 is supported for mode 'max' only (the distinct-atom search). The
+    p == 0 is supported for mode 'max' only (ell0_max_exact's table). The
     base x need not be a member when x^n is: x^n that is no member raises
     NotInMonoidError.
     """

@@ -189,6 +189,11 @@ def _run_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Inputs are parsed under Python's limit on int string digits; an exact
+    # answer may be longer, so the limit is lifted until main returns.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         cfg = _run_config(args)
         t0 = time.perf_counter()
@@ -199,6 +204,9 @@ def main(argv=None) -> int:
     except (PlengthsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

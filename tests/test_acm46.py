@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
+from ell0_oracle import ell0_max_search
 
-from plengths import Acm, NotInMonoidError, ThresholdNotMetError
+from plengths import Acm, BudgetExceededError, NotInMonoidError, ThresholdNotMetError, acm46
 from plengths.acm46 import (
     SmoothElement,
     atom_divisors,
@@ -18,6 +21,7 @@ from plengths.acm46 import (
     smooth_is_atom,
     smooth_is_member,
 )
+from plengths.common import check_bytes
 
 INF = math.inf
 
@@ -92,12 +96,67 @@ class TestSupportMaximum:
     def test_70_series(self):
         assert [ell0_max_exact(X70, n) for n in range(1, 13)] == SUPPORT_MAX_70
 
-    def test_node_budget(self, monkeypatch):
-        from plengths import BudgetExceededError, acm46
+    def test_matches_subset_search(self):
+        """The table equals the branch and bound over all atom subsets on
+        every member power of an exponent triple in {0..4}^3 up to n = 4,
+        and on powers of 28, 40, 70 and 490 up to n = 40."""
+        small = [
+            (SmoothElement(*t), n)
+            for t in itertools.product(range(5), repeat=3)
+            for n in range(1, 5)
+            if smooth_is_member(SmoothElement(t[0] * n, t[1] * n, t[2] * n))
+        ]
+        powers = [(smooth_from_int(b), n) for b in (28, 40, 70, 490) for n in range(1, 41)]
+        for x, n in small + powers:
+            assert ell0_max_exact(x, n) == ell0_max_search(x, n), (x, n)
 
-        monkeypatch.setattr(acm46, "DEFAULT_NODE_BUDGET", 5)
-        with pytest.raises(BudgetExceededError):
-            ell0_max_exact(X70, 12)
+    @pytest.mark.parametrize(
+        "x,n,value",
+        # the subset search took 2.9 s, 0.23 s and 2.3 s on these
+        [(SmoothElement(1, 4, 4), 6, 6), (X70, 385, 79), (SmoothElement(1, 1, 2), 385, 101)],
+        ids=["(1,4,4)^6", "70^385", "490^385"],
+    )
+    def test_powers_the_search_was_slow_on(self, x, n, value):
+        assert ell0_max_exact(x, n) == value
+
+    def test_table_refused_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^a distinct-atom table for "):
+                ell0_max_exact(X70, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "x,n", [(X70, 200), (SmoothElement(1, 1, 2), 200)], ids=["70^200", "490^200"]
+    )
+    def test_charge_covers_the_traced_peak(self, monkeypatch, x, n):
+        """The bytes the table is charged cover what it allocates: a pointer
+        and an int object per slot."""
+        charged = []
+
+        def record(need, limit, what):
+            charged.append(need)
+            check_bytes(need, limit, what)
+
+        monkeypatch.setattr(acm46, "check_bytes", record)
+        ell0_max_exact(X70, 2)  # allocations made once per process
+        tracemalloc.start()
+        try:
+            ell0_max_exact(x, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1]
+
+    def test_non_member_power(self):
+        with pytest.raises(NotInMonoidError):
+            ell0_max_exact(SmoothElement(1, 0, 1), 1)  # 14
+        with pytest.raises(NotInMonoidError):
+            ell0_max_exact(SmoothElement(0, 1, 0), 3)  # 125
+        assert ell0_max_exact(SmoothElement(1, 0, 1), 2) == 1  # 196 = 4 * 7^2, an atom
 
     def test_enumeration_cross_check(self):
         """Support maximum agrees with brute enumeration over the generic monoid."""

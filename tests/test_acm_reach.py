@@ -228,7 +228,7 @@ class TestPowerSearchesMatchMemoOracles:
 
     @pytest.mark.parametrize("base", (28, 40, 70, 490))
     def test_matches_generic_monoid(self, base):
-        # acm46's closed-form atoms and the branch and bound against Acm(4, 6)
+        # acm46's closed-form atoms and ell0_max_exact's table DP against Acm(4, 6)
         M, x = Acm(4, 6), smooth_from_int(base)
         for n in range(1, 7):
             assert ell0_max_exact(x, n) == M.extremal_plength(base**n, 0, "max").value, n

@@ -1,18 +1,32 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from plengths import Acm, NumericalSemigroup, RunConfig, ns_claims, verify_acm, verify_semigroup
+from plengths import (
+    Acm,
+    NumericalSemigroup,
+    RunConfig,
+    factor,
+    ns_claims,
+    verify_acm,
+    verify_semigroup,
+)
 from plengths.cli import main
 from plengths.ns_claims import cube_min_candidates, find_second_difference_start
 from plengths.verify import _run
 
 INF = math.inf
+
+# Python 3.10 before 3.10.7 has no limit on int string digits.
+NEEDS_INT_STR_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int string digit limit"
+)
 
 # Reference digests of the benchmark's command lines; read only.
 REFS = json.loads((Path(__file__).parents[1] / "bench" / "refs.json").read_text())["cli"]
@@ -286,6 +300,42 @@ class TestCli:
         assert "argument --budget: invalid int value" in self.refused(
             capsys, *argv, "--budget", "1e6"
         )
+
+    @pytest.mark.parametrize(
+        "argv,answer",
+        [
+            (
+                "ns plength --gens 3,5,7 --n 100 --p 3000 --mode max",
+                lambda: factor.extremal_plength(NumericalSemigroup((3, 5, 7)), 100, 3000, "max"),
+            ),
+            (
+                "acm plength --a 4 --b 6 --x 4900 --p 20000 --mode max",
+                lambda: Acm(4, 6).extremal_plength(4900, 20000, "max"),
+            ),
+        ],
+        ids=["ns", "acm"],
+    )
+    @NEEDS_INT_STR_LIMIT
+    def test_answer_longer_than_the_int_string_limit(self, capsys, argv, answer):
+        """A value of more than 4300 digits is printed exactly, and main
+        leaves Python's limit on int string digits as it found it."""
+        limit = sys.get_int_max_str_digits()
+        code, out = self.run(capsys, *argv.split())
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        value = answer().value
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(value)) > 4300
+            assert json.loads(out)["value"] == value
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @NEEDS_INT_STR_LIMIT
+    @pytest.mark.parametrize("flag", ["--n", "--x"])
+    def test_input_longer_than_the_int_string_limit_exit_2(self, capsys, flag):
+        family = "ns plength --gens 3,5,7" if flag == "--n" else "acm plength --a 4 --b 6"
+        argv = [*family.split(), flag, "1" * 5000, "--p", "1", "--mode", "max"]
+        assert f"argument {flag}: invalid int value" in self.refused(capsys, *argv)
 
     def test_node_budget_is_unknown_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PLENGTHS_NODE_BUDGET", "5")
